@@ -3,9 +3,9 @@
 Before this module the repository had three ad-hoc entry paths — the CLI's
 ``_cmd_mine`` / ``_cmd_identify`` / ``_cmd_stream`` each assembled its own
 flags into its own calls, and long-lived use meant driving a
-:class:`~repro.stream.StreamingIdentifier` by hand (including its
-``**config_overrides`` kwargs sprawl).  :mod:`repro.api` is the single
-facade both the CLI and the HTTP service (:mod:`repro.serve`) consume:
+:class:`~repro.stream.StreamingIdentifier` by hand.  :mod:`repro.api` is
+the single facade both the CLI and the HTTP service (:mod:`repro.serve`)
+consume:
 
 * :func:`mine` / :func:`identify` — one-shot runs from **explicit** config
   objects (:class:`~repro.mining.DMineConfig`,
@@ -473,10 +473,9 @@ def open_session(
 
     Owns config construction: callers hand in explicit
     :class:`EIPConfig` / :class:`StreamConfig` objects (or take the
-    defaults) — the deprecated ``**config_overrides`` path of
-    :class:`StreamingIdentifier` never appears here.  ``tenant`` is a
-    display identity only here; sessions that *share* one resident core go
-    through :func:`open_shared_core` instead.
+    defaults).  ``tenant`` is a display identity only here; sessions that
+    *share* one resident core go through :func:`open_shared_core`
+    instead.
     """
     identifier = StreamingIdentifier(
         graph,

@@ -14,13 +14,9 @@ Every row also records whether the run consumed the resident
 output); :func:`run_matching_index_comparison` and
 :func:`run_eip_index_comparison` run the same workload with the index on and
 off and annotate the indexed rows with the measured ``index_speedup``, so
-the index's effect is measured rather than asserted.  The columnar kernel
-gets the same treatment: :func:`run_matching_columnar_comparison`,
-:func:`run_eip_columnar_comparison` and :func:`run_dmine_columnar_comparison`
-run with the :class:`repro.graph.columnar.ColumnarFragment` off and on and
-annotate the columnar rows with ``columnar_speedup`` (the index-comparison
-runners pin ``use_columnar=False`` so each optimisation is measured in
-isolation).
+the index's effect is measured rather than asserted;
+:func:`run_dmine_index_comparison` does the same for one DMine
+configuration.
 """
 
 from __future__ import annotations
@@ -32,7 +28,6 @@ from typing import Iterable, Sequence
 
 from repro.bench.reporting import wall_speedups
 from repro.graph.graph import Graph
-from repro.graph.columnar import discard_columnar
 from repro.graph.index import discard_index
 from repro.identification import EIPConfig, identify_entities
 from repro.matching import GuidedMatcher, SimulationMatcher, VF2Matcher
@@ -85,10 +80,6 @@ class DMineRow:
     # Incremental wall-clock gain over the matching from-scratch run (only
     # set by the incremental-comparison runners, on the incremental rows).
     incremental_speedup: float | None = None
-    use_columnar: bool = True
-    # Columnar wall-clock gain over the matching dict-path run (only set by
-    # the columnar-comparison runners, on the columnar rows).
-    columnar_speedup: float | None = None
     # Content hash of the mined rule set (structure + support + confidence);
     # two rows with equal fingerprints mined *the same rules*, not merely
     # the same number of rules.
@@ -102,7 +93,6 @@ class DMineRow:
             "backend": self.backend,
             "index": "on" if self.use_index else "off",
             "incremental": "on" if self.use_incremental else "off",
-            "columnar": "on" if self.use_columnar else "off",
             "sim_parallel_s": round(self.simulated_parallel_time, 3),
             "wall_s": round(self.wall_time, 3),
             "rules": self.rules_discovered,
@@ -116,8 +106,6 @@ class DMineRow:
             row["index_speedup"] = round(self.index_speedup, 2)
         if self.incremental_speedup is not None:
             row["incremental_speedup"] = round(self.incremental_speedup, 2)
-        if self.columnar_speedup is not None:
-            row["columnar_speedup"] = round(self.columnar_speedup, 2)
         return row
 
 
@@ -139,8 +127,6 @@ class EIPRow:
     index_speedup: float | None = None
     use_incremental: bool = True
     incremental_speedup: float | None = None
-    use_columnar: bool = True
-    columnar_speedup: float | None = None
     # Prefix-trie pool applications summed over all fragments; the
     # incremental smoke gate requires > 0 on incremental-on rows (proof the
     # shared-prefix path ran, census-split rules included).
@@ -156,7 +142,6 @@ class EIPRow:
             "backend": self.backend,
             "index": "on" if self.use_index else "off",
             "incremental": "on" if self.use_incremental else "off",
-            "columnar": "on" if self.use_columnar else "off",
             "sim_parallel_s": round(self.simulated_parallel_time, 3),
             "wall_s": round(self.wall_time, 3),
             "identified": self.identified,
@@ -170,8 +155,6 @@ class EIPRow:
             row["index_speedup"] = round(self.index_speedup, 2)
         if self.incremental_speedup is not None:
             row["incremental_speedup"] = round(self.incremental_speedup, 2)
-        if self.columnar_speedup is not None:
-            row["columnar_speedup"] = round(self.columnar_speedup, 2)
         return row
 
 
@@ -200,7 +183,6 @@ def run_dmine_config(
     executor_workers: int | None = None,
     use_index: bool = True,
     use_incremental: bool = True,
-    use_columnar: bool = True,
     **overrides,
 ) -> DMineRow:
     """Run one DMine / DMineno configuration and return its measured row."""
@@ -212,7 +194,6 @@ def run_dmine_config(
         executor_workers=executor_workers,
         use_index=use_index,
         use_incremental=use_incremental,
-        use_columnar=use_columnar,
         **settings,
     )
     if not optimized:
@@ -231,7 +212,6 @@ def run_dmine_config(
         backend=config.backend,
         use_index=use_index,
         use_incremental=use_incremental,
-        use_columnar=use_columnar,
         fingerprint=_digest(
             f"{canonical_code(rule.pr_pattern())}|{info.support}|{round(info.confidence, 9)}"
             for rule, info in result.all_rules.items()
@@ -252,7 +232,6 @@ def run_eip_config(
     executor_workers: int | None = None,
     use_index: bool = True,
     use_incremental: bool = True,
-    use_columnar: bool = True,
 ) -> EIPRow:
     """Run one Match / Matchc / disVF2 configuration and return its row."""
     result = identify_entities(
@@ -265,7 +244,6 @@ def run_eip_config(
         executor_workers=executor_workers,
         use_index=use_index,
         use_incremental=use_incremental,
-        use_columnar=use_columnar,
     )
     return EIPRow(
         dataset=dataset,
@@ -279,7 +257,6 @@ def run_eip_config(
         backend=backend,
         use_index=use_index,
         use_incremental=use_incremental,
-        use_columnar=use_columnar,
         prefix_pool_hits=result.prefix_pool_hits,
         fingerprint=_eip_result_fingerprint(result),
     )
@@ -370,9 +347,9 @@ class MatchingRow:
     Measures the paper's matching hot path in isolation: *reps* batches of
     anchored ``match_set`` queries over one resident graph, each batch served
     by a freshly constructed matcher (exactly what one EIP/DMine call does).
-    Unindexed batches re-derive label pools, adjacency profiles and k-hop
-    sketches from the raw graph; indexed batches probe the resident
-    :class:`~repro.graph.index.FragmentIndex`.
+    Unindexed batches (the reference path) re-derive label pools, adjacency
+    profiles and k-hop sketches from the raw graph; indexed batches probe the
+    resident :class:`~repro.graph.index.FragmentIndex` and its kernel.
     """
 
     dataset: str
@@ -384,8 +361,6 @@ class MatchingRow:
     total_matches: int
     use_index: bool = True
     index_speedup: float | None = None
-    use_columnar: bool = True
-    columnar_speedup: float | None = None
     backend: str = "in-process"
     fingerprint: str = ""
 
@@ -396,7 +371,6 @@ class MatchingRow:
             self.parameter: self.value,
             "backend": self.backend,
             "index": "on" if self.use_index else "off",
-            "columnar": "on" if self.use_columnar else "off",
             "wall_s": round(self.wall_time, 3),
             "patterns": self.patterns_matched,
             "matches": self.total_matches,
@@ -404,18 +378,16 @@ class MatchingRow:
         }
         if self.index_speedup is not None:
             row["index_speedup"] = round(self.index_speedup, 2)
-        if self.columnar_speedup is not None:
-            row["columnar_speedup"] = round(self.columnar_speedup, 2)
         return row
 
 
-def _matcher_for(kind: str, use_index: bool, use_columnar: bool = True):
+def _matcher_for(kind: str, use_index: bool):
     if kind == "guided":
-        return GuidedMatcher(use_index=use_index, use_columnar=use_columnar)
+        return GuidedMatcher(use_index=use_index)
     if kind == "vf2":
-        return VF2Matcher(use_index=use_index, use_columnar=use_columnar)
+        return VF2Matcher(use_index=use_index)
     if kind == "simulation":
-        return SimulationMatcher(use_index=use_index, use_columnar=use_columnar)
+        return SimulationMatcher(use_index=use_index)
     raise ValueError(
         f"unknown matcher kind {kind!r}; expected 'vf2', 'guided' or 'simulation'"
     )
@@ -427,7 +399,6 @@ def run_matching_traffic(
     rules: Sequence[GPAR],
     kind: str,
     use_index: bool,
-    use_columnar: bool = True,
     reps: int = 3,
     parameter: str = "index",
     value: object = None,
@@ -437,20 +408,19 @@ def run_matching_traffic(
     Each batch computes ``Q(x, G)`` for every rule's antecedent and PR
     pattern with a newly constructed matcher, modelling *reps* successive
     algorithm calls against the same resident fragment.  The graph's
-    registered index and columnar view are dropped first so each enabled
-    run pays its own build.
+    registered index is dropped first so each indexed run pays its own
+    build.
     """
     patterns: list[Pattern] = []
     for rule in rules:
         patterns.append(rule.antecedent)
         patterns.append(rule.pr_pattern())
     discard_index(graph)
-    discard_columnar(graph)
     match_counts: list[str] = []
     total_matches = 0
     started = time.perf_counter()
     for _ in range(reps):
-        matcher = _matcher_for(kind, use_index, use_columnar)
+        matcher = _matcher_for(kind, use_index)
         for position, pattern in enumerate(patterns):
             matches = matcher.match_set(graph, pattern)
             total_matches += len(matches)
@@ -469,7 +439,6 @@ def run_matching_traffic(
         patterns_matched=len(patterns) * reps,
         total_matches=total_matches,
         use_index=use_index,
-        use_columnar=use_columnar,
         fingerprint=_digest(match_counts),
     )
 
@@ -478,24 +447,23 @@ def run_matching_index_comparison(
     dataset: str,
     graph: Graph,
     rules: Sequence[GPAR],
-    kinds: Sequence[str] = ("vf2", "guided"),
+    kinds: Sequence[str] = ("vf2", "guided", "simulation"),
     reps: int = 3,
 ) -> list[MatchingRow]:
     """Indexed-vs-unindexed matching comparison for each matcher kind.
 
-    Returns two rows per kind (index off, then on); the indexed row carries
-    ``index_speedup`` = unindexed wall time / indexed wall time.  Raises
-    ``AssertionError`` if any kind's match sets differ between the modes.
-    Both rows run with the columnar kernel off so the index's effect is
-    measured in isolation (the ``columnar`` family measures the kernel's).
+    Returns two rows per kind (reference path, then resident index); the
+    indexed row carries ``index_speedup`` = unindexed wall time / indexed
+    wall time.  Raises ``AssertionError`` if any kind's match sets differ
+    between the modes.
     """
     rows: list[MatchingRow] = []
     for kind in kinds:
         unindexed = run_matching_traffic(
-            dataset, graph, rules, kind, use_index=False, use_columnar=False, reps=reps
+            dataset, graph, rules, kind, use_index=False, reps=reps
         )
         indexed = run_matching_traffic(
-            dataset, graph, rules, kind, use_index=True, use_columnar=False, reps=reps
+            dataset, graph, rules, kind, use_index=True, reps=reps
         )
         if indexed.fingerprint != unindexed.fingerprint:
             raise AssertionError(
@@ -505,60 +473,6 @@ def run_matching_index_comparison(
         speedup = unindexed.wall_time / indexed.wall_time if indexed.wall_time else float("inf")
         rows.append(unindexed)
         rows.append(replace(indexed, index_speedup=speedup))
-    return rows
-
-
-def run_matching_columnar_comparison(
-    dataset: str,
-    graph: Graph,
-    rules: Sequence[GPAR],
-    kinds: Sequence[str] = ("vf2", "guided", "simulation"),
-    reps: int = 3,
-) -> list[MatchingRow]:
-    """Columnar-vs-dict matching comparison for each matcher kind.
-
-    Both rows keep the resident index on (the production configuration);
-    only the columnar kernel toggles, so ``columnar_speedup`` on the
-    columnar row isolates what the CSR/profile-matrix path buys on top of
-    the dict-backed index.  Raises ``AssertionError`` if any kind's match
-    sets differ between the modes.
-    """
-    rows: list[MatchingRow] = []
-    for kind in kinds:
-        dict_row = run_matching_traffic(
-            dataset,
-            graph,
-            rules,
-            kind,
-            use_index=True,
-            use_columnar=False,
-            reps=reps,
-            parameter="columnar",
-            value="off",
-        )
-        columnar_row = run_matching_traffic(
-            dataset,
-            graph,
-            rules,
-            kind,
-            use_index=True,
-            use_columnar=True,
-            reps=reps,
-            parameter="columnar",
-            value="on",
-        )
-        if columnar_row.fingerprint != dict_row.fingerprint:
-            raise AssertionError(
-                f"columnar {kind} matching diverged from the dict path: "
-                f"{columnar_row.fingerprint} != {dict_row.fingerprint}"
-            )
-        speedup = (
-            dict_row.wall_time / columnar_row.wall_time
-            if columnar_row.wall_time
-            else float("inf")
-        )
-        rows.append(dict_row)
-        rows.append(replace(columnar_row, columnar_speedup=speedup))
     return rows
 
 
@@ -625,47 +539,7 @@ def run_eip_index_comparison(
     return _run_onoff_comparison(run_one, backends, "index_speedup", "EIP (index)")
 
 
-# ----------------------------------------------------------------------
-# columnar-vs-dict comparison
-# ----------------------------------------------------------------------
-def run_eip_columnar_comparison(
-    dataset: str,
-    graph: Graph,
-    rules: tuple[GPAR, ...],
-    num_workers: int,
-    algorithm: str = "match",
-    eta: float = 1.0,
-    backends: Sequence[str] = ("sequential", "threads", "processes"),
-    executor_workers: int | None = None,
-) -> list[EIPRow]:
-    """Run one EIP configuration with the columnar kernel off and on, per backend.
-
-    The cross-backend × cross-mode equivalence gate of the columnar smoke:
-    all ``2 × len(backends)`` rows must carry the same result fingerprint.
-    Columnar rows are annotated with their backend's ``columnar_speedup``.
-    """
-
-    def run_one(backend: str, enabled: bool) -> EIPRow:
-        return run_eip_config(
-            dataset,
-            graph,
-            rules,
-            num_workers,
-            algorithm,
-            eta=eta,
-            parameter="backend",
-            value=backend,
-            backend=backend,
-            executor_workers=executor_workers,
-            use_columnar=enabled,
-        )
-
-    return _run_onoff_comparison(
-        run_one, backends, "columnar_speedup", "EIP (columnar)"
-    )
-
-
-def run_dmine_columnar_comparison(
+def run_dmine_index_comparison(
     dataset: str,
     graph: Graph,
     predicate: Pattern,
@@ -675,11 +549,11 @@ def run_dmine_columnar_comparison(
     executor_workers: int | None = None,
     **overrides,
 ) -> list[DMineRow]:
-    """Run one DMine configuration columnar-off and -on, per backend.
+    """Run one DMine configuration with the index off and on, per backend.
 
     All ``2 × len(backends)`` rows must mine the same rule fingerprint;
-    columnar rows carry ``columnar_speedup`` = dict-path wall time /
-    columnar wall time on their backend.
+    indexed rows carry ``index_speedup`` = reference-path wall time /
+    indexed wall time on their backend.
     """
 
     def run_one(backend: str, enabled: bool) -> DMineRow:
@@ -693,13 +567,11 @@ def run_dmine_columnar_comparison(
             value=backend,
             backend=backend,
             executor_workers=executor_workers,
-            use_columnar=enabled,
+            use_index=enabled,
             **overrides,
         )
 
-    return _run_onoff_comparison(
-        run_one, backends, "columnar_speedup", "DMine (columnar)"
-    )
+    return _run_onoff_comparison(run_one, backends, "index_speedup", "DMine (index)")
 
 
 # ----------------------------------------------------------------------

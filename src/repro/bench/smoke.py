@@ -6,7 +6,6 @@ the execution backends without paying for a full fig5 sweep::
     python -m repro.bench.smoke --family dmine --backend processes --workers 2
     python -m repro.bench.smoke --family match --backend processes --workers 2
     python -m repro.bench.smoke --family index --workers 2
-    python -m repro.bench.smoke --family columnar --workers 2
     python -m repro.bench.smoke --family incremental --workers 2
     python -m repro.bench.smoke --family stream --workers 2
     python -m repro.bench.smoke --family stream --deletion-bias 0.7 --workers 2
@@ -20,20 +19,14 @@ to the working directory — the repo root in CI — (same row shape as
 ``benchmarks/results``) so successive CI runs can track the perf
 trajectory; CI uploads them as workflow artifacts.
 
-The ``index`` family is the indexed-vs-unindexed gate of the resident
-:class:`repro.graph.index.FragmentIndex`: it measures repeated matching
-traffic over one resident graph with the index off and on (the
-``index_speedup`` rows), and runs the same EIP configuration across the
-sequential/threads/processes backends in both modes, requiring one identical
-result fingerprint everywhere.
-
-The ``columnar`` family is the same gate for the columnar kernel
-(:mod:`repro.graph.columnar`, docs/columnar.md): matching traffic on the
-dense 4000-node workload with the kernel off and on (``columnar_speedup``
-rows, gated ≥2× sequentially when numpy serves the compiled arrays), one
-EIP and one DMine configuration across every backend in both modes — one
-result fingerprint allowed — and a first 100k-node scenario (25× the dense
-scale) that must simply complete under the smoke timeout.
+The ``index`` family is the gate of the resident
+:class:`repro.graph.index.FragmentIndex` (docs/indexing.md): matching
+traffic (vf2, guided, simulation) on the dense 4000-node workload on the
+raw-graph reference path and on the resident index (``index_speedup`` rows,
+gated on the aggregate: ≥2× when numpy serves the kernel arrays, ≥1× on the
+pure-array path), one EIP and one DMine configuration across every backend
+in both modes — one result fingerprint allowed — and a 100k-node scenario
+(25× the dense scale) that must simply complete under the smoke timeout.
 
 The ``incremental`` family is the incremental-vs-from-scratch gate of
 :mod:`repro.matching.incremental`: one DMine and one EIP configuration on a
@@ -92,15 +85,13 @@ from pathlib import Path
 
 from repro.bench.harness import (
     run_dmine_backends,
-    run_dmine_columnar_comparison,
     run_dmine_incremental_comparison,
+    run_dmine_index_comparison,
     run_eip_backends,
-    run_eip_columnar_comparison,
     run_eip_incremental_comparison,
     run_eip_index_comparison,
     run_eip_stream_comparison,
     run_lifecycle_roundtrip,
-    run_matching_columnar_comparison,
     run_matching_index_comparison,
     run_matching_traffic,
     run_matchview_stream_comparison,
@@ -125,7 +116,6 @@ FAMILIES = (
     "dmine",
     "match",
     "index",
-    "columnar",
     "incremental",
     "stream",
     "lifecycle",
@@ -140,26 +130,19 @@ SMOKE_SCALE = 400
 SMOKE_SIGMA = 2
 SMOKE_RULES = 6
 
-# The index and incremental comparisons run on the largest synthetic
-# workloads of the smoke tier: big enough that matching (not partitioning)
-# dominates, so the measured speedups reflect the hot path.
-INDEX_SCALE = 4000
-INDEX_RULES = 16
-INDEX_REPS = 3
-
-# The columnar comparison runs matching traffic, EIP and DMine on the dense
-# workload with the kernel off and on, then a first large-regime scenario:
-# columnar-on matching traffic on a graph COLUMNAR_LARGE_FACTOR × the dense
-# scale (100k nodes at the default), sharing the dense label universe so
-# the same Σ applies.  Completing under the smoke timeout is that row's
+# The index comparison runs matching traffic, EIP and DMine on the dense
+# workload with the index off (reference path) and on, then a large-regime
+# scenario: indexed matching traffic on a graph INDEX_LARGE_FACTOR × the
+# dense scale (100k nodes at the default), sharing the dense label universe
+# so the same Σ applies.  Completing under the smoke timeout is that row's
 # whole gate.
-COLUMNAR_SCALE = 4000
-COLUMNAR_RULES = 12
-# Enough per-fragment traffic that the one-time compile amortizes the way it
+INDEX_SCALE = 4000
+INDEX_RULES = 12
+# Enough per-fragment traffic that the one-time build amortizes the way it
 # does in production (a resident fragment serves many rounds, not three).
-COLUMNAR_REPS = 8
-COLUMNAR_LARGE_FACTOR = 25
-COLUMNAR_LARGE_RULES = 4
+INDEX_REPS = 8
+INDEX_LARGE_FACTOR = 25
+INDEX_LARGE_RULES = 4
 
 INCREMENTAL_SCALE = 4000
 INCREMENTAL_RULES = 16
@@ -259,8 +242,6 @@ def run_smoke(
     if scale is None:
         if family == "index":
             scale = INDEX_SCALE
-        elif family == "columnar":
-            scale = COLUMNAR_SCALE
         elif family == "incremental":
             scale = INCREMENTAL_SCALE
         elif family in ("stream", "lifecycle", "serve", "tenant", "obs"):
@@ -273,7 +254,6 @@ def run_smoke(
         family
         not in (
             "index",
-            "columnar",
             "incremental",
             "stream",
             "lifecycle",
@@ -314,45 +294,18 @@ def run_smoke(
             if backend is None
             else tuple(dict.fromkeys(("sequential", backend)))
         )
-        graph, rules = eip_workload("synthetic", num_rules=INDEX_RULES, scale=scale)
-        # Part 1: matching traffic, index off vs on (the measured speedup).
+        graph, rules = stream_workload(scale, INDEX_RULES)
+        # Part 1: matching traffic on the dense workload, reference path vs
+        # resident index (the measured speedup).
         rows: list = list(
-            run_matching_index_comparison("synthetic", graph, rules, reps=INDEX_REPS)
+            run_matching_index_comparison(
+                "synthetic-dense", graph, rules, reps=INDEX_REPS
+            )
         )
         # Part 2: the same EIP configuration across the selected backends in
         # both modes — 2 × |backends| runs, one fingerprint allowed.
         rows.extend(
             run_eip_index_comparison(
-                "synthetic",
-                graph,
-                rules,
-                num_workers=workers,
-                algorithm="match",
-                eta=0.5,
-                backends=backends,
-                executor_workers=pool_size,
-            )
-        )
-        return rows
-    if family == "columnar":
-        backends = (
-            BACKENDS
-            if backend is None
-            else tuple(dict.fromkeys(("sequential", backend)))
-        )
-        graph, rules = stream_workload(scale, COLUMNAR_RULES)
-        # Part 1: matching traffic on the dense workload, columnar off vs on
-        # (both halves keep the resident index, so the speedup isolates the
-        # CSR/profile-matrix kernel).
-        rows: list = list(
-            run_matching_columnar_comparison(
-                "synthetic-dense", graph, rules, reps=COLUMNAR_REPS
-            )
-        )
-        # Part 2: the same EIP configuration across the selected backends in
-        # both modes — 2 × |backends| runs, one fingerprint allowed.
-        rows.extend(
-            run_eip_columnar_comparison(
                 "synthetic-dense",
                 graph,
                 rules,
@@ -366,7 +319,7 @@ def run_smoke(
         # Part 3: one DMine configuration under the same gate.
         _, predicate = dense_mining_workload(scale)
         rows.extend(
-            run_dmine_columnar_comparison(
+            run_dmine_index_comparison(
                 "synthetic-dense",
                 graph,
                 predicate,
@@ -376,20 +329,19 @@ def run_smoke(
                 executor_workers=pool_size,
             )
         )
-        # Part 4: the first large-regime scenario — columnar-on matching
-        # traffic at 25 × the dense scale (100k nodes by default); the dense
+        # Part 4: the large-regime scenario — indexed matching traffic at
+        # 25 × the dense scale (100k nodes by default); the dense
         # generator's label universe is scale-independent, so the same Σ
         # applies.  Its gate is simply finishing under the smoke timeout.
-        large_scale = scale * COLUMNAR_LARGE_FACTOR
+        large_scale = scale * INDEX_LARGE_FACTOR
         large_graph, _ = dense_mining_workload(large_scale)
         rows.append(
             run_matching_traffic(
                 "synthetic-large",
                 large_graph,
-                rules[:COLUMNAR_LARGE_RULES],
+                rules[:INDEX_LARGE_RULES],
                 "guided",
                 use_index=True,
-                use_columnar=True,
                 reps=1,
                 parameter="scale",
                 value=large_scale,
@@ -612,42 +564,33 @@ def _index_speedups(rows) -> dict[str, float]:
     }
 
 
-def _columnar_speedups(rows) -> dict[str, float]:
-    """``{algorithm@backend: columnar_speedup}`` of the columnar rows."""
-    return {
-        f"{row.algorithm}@{row.backend}": row.columnar_speedup
-        for row in rows
-        if getattr(row, "columnar_speedup", None) is not None
-    }
-
-
-def _check_columnar_gate(rows) -> None:
-    """Regression gate: the columnar kernel must beat the dict path.
+def _check_index_gate(rows) -> None:
+    """Regression gate: the resident index must beat the reference path.
 
     The cross-backend × cross-mode *result* fingerprints already failed
     inside the comparison runners if anything diverged; this gate watches
-    the perf trajectory of the matching-traffic rows (the kernel's hot
-    path, measured pool-free).  The required aggregate speedup is ≥2× when
-    numpy serves the compiled arrays and ≥1× on the pure-``array`` fallback
-    (still forbidden to regress, but the interpreted loops cannot promise
-    the vectorized margin).
+    the perf trajectory of the matching-traffic rows (the hot path,
+    measured pool-free).  The required aggregate speedup is ≥2× when numpy
+    serves the kernel arrays and ≥1× on the pure-``array`` fallback (still
+    forbidden to regress, but the interpreted loops cannot promise the
+    vectorized margin).
     """
     from repro.graph.columnar import numpy_active
 
     threshold = 2.0 if numpy_active() else 1.0
-    traffic = [row for row in rows if getattr(row, "parameter", None) == "columnar"]
-    dict_wall = sum(row.wall_time for row in traffic if not row.use_columnar)
-    columnar_wall = sum(row.wall_time for row in traffic if row.use_columnar)
-    if not traffic or not columnar_wall:
-        raise SystemExit("columnar run produced no matching-traffic rows")
-    aggregate = dict_wall / columnar_wall
+    traffic = [row for row in rows if getattr(row, "parameter", None) == "index"]
+    reference_wall = sum(row.wall_time for row in traffic if not row.use_index)
+    indexed_wall = sum(row.wall_time for row in traffic if row.use_index)
+    if not traffic or not indexed_wall:
+        raise SystemExit("index run produced no matching-traffic rows")
+    aggregate = reference_wall / indexed_wall
     print(
-        f"columnar matching-traffic aggregate speedup: {aggregate:.2f}x "
+        f"index matching-traffic aggregate speedup: {aggregate:.2f}x "
         f"(gate >= {threshold:.1f}x, numpy {'on' if numpy_active() else 'off'})"
     )
     if aggregate < threshold:
         raise SystemExit(
-            f"columnar regression: matching-traffic aggregate speedup "
+            f"index regression: matching-traffic aggregate speedup "
             f"{aggregate:.2f}x < {threshold:.1f}x"
         )
 
@@ -879,26 +822,14 @@ def _report_family(family: str, backend: str | None, workers: int, rows) -> None
     """Print the family's tables, speedups and gates; exits on a gate failure."""
     if family == "index":
         # The cross-backend × cross-mode fingerprint gates already ran inside
-        # the comparison runners; here we only report the measurements.
+        # the comparison runners; here we report and gate the measurements.
         shown = "/".join(BACKENDS) if backend is None else f"sequential/{backend}"
         title = f"smoke index (n={workers}, backends={shown})"
-        print(f"== {title} ==")
-        matching_rows = [row for row in rows if hasattr(row, "patterns_matched")]
-        eip_rows = [row for row in rows if not hasattr(row, "patterns_matched")]
-        print("-- matching traffic (fresh matcher per batch) --")
-        print(format_rows(matching_rows))
-        print("-- EIP match, every backend x index mode (one fingerprint) --")
-        print(format_rows(eip_rows))
-        for name, speedup in sorted(_index_speedups(rows).items()):
-            print(f"index speedup ({name}): {speedup:.2f}x")
-    elif family == "columnar":
-        shown = "/".join(BACKENDS) if backend is None else f"sequential/{backend}"
-        title = f"smoke columnar (n={workers}, backends={shown})"
         print(f"== {title} ==")
         traffic_rows = [
             row
             for row in rows
-            if hasattr(row, "patterns_matched") and row.parameter == "columnar"
+            if hasattr(row, "patterns_matched") and row.parameter == "index"
         ]
         large_rows = [
             row
@@ -907,17 +838,17 @@ def _report_family(family: str, backend: str | None, workers: int, rows) -> None
         ]
         eip_rows = [row for row in rows if hasattr(row, "prefix_pool_hits")]
         dmine_rows = [row for row in rows if hasattr(row, "rules_discovered")]
-        print("-- matching traffic, columnar off vs on (index resident in both) --")
+        print("-- matching traffic, reference path vs resident index --")
         print(format_rows(traffic_rows))
-        print("-- EIP match, every backend x columnar mode (one fingerprint) --")
+        print("-- EIP match, every backend x index mode (one fingerprint) --")
         print(format_rows(eip_rows))
-        print("-- DMine, every backend x columnar mode (one fingerprint) --")
+        print("-- DMine, every backend x index mode (one fingerprint) --")
         print(format_rows(dmine_rows))
         print("-- large-regime scenario (gate: completes under the smoke timeout) --")
         print(format_rows(large_rows))
-        for name, speedup in sorted(_columnar_speedups(rows).items()):
-            print(f"columnar speedup ({name}): {speedup:.2f}x")
-        _check_columnar_gate(rows)
+        for name, speedup in sorted(_index_speedups(rows).items()):
+            print(f"index speedup ({name}): {speedup:.2f}x")
+        _check_index_gate(rows)
     elif family == "incremental":
         shown = "/".join(BACKENDS) if backend is None else f"sequential/{backend}"
         title = f"smoke incremental (n={workers}, backends={shown})"
@@ -1086,7 +1017,6 @@ def main(argv: list[str] | None = None) -> int:
     backend = args.backend
     if backend is None and args.family not in (
         "index",
-        "columnar",
         "incremental",
         "stream",
         "lifecycle",

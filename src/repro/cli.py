@@ -79,7 +79,6 @@ def _cmd_mine(args: argparse.Namespace) -> int:
         backend=args.backend,
         executor_workers=args.pool_size,
         use_index=not args.no_index,
-        use_columnar=not args.no_columnar,
         use_incremental=not args.no_incremental,
     )
     result = api.mine(graph, args.predicate, config)
@@ -106,7 +105,6 @@ def _eip_config_from_args(args: argparse.Namespace, seed: int = 0) -> EIPConfig:
         backend=args.backend,
         executor_workers=args.pool_size,
         use_index=not args.no_index,
-        use_columnar=not args.no_columnar,
         use_incremental=not args.no_incremental,
     )
 
@@ -458,16 +456,8 @@ def _add_backend_arguments(subparser: argparse.ArgumentParser) -> None:
         "--no-index",
         action="store_true",
         dest="no_index",
-        help="disable the resident fragment index (unindexed baseline; "
-        "identical results, more per-probe work — see docs/indexing.md)",
-    )
-    subparser.add_argument(
-        "--no-columnar",
-        action="store_true",
-        dest="no_columnar",
-        help="disable the resident columnar fragment kernel (dict-path "
-        "baseline; identical results, slower label/profile filtering — "
-        "see docs/columnar.md)",
+        help="disable the resident fragment index (raw-graph reference "
+        "path; identical results, more per-probe work — see docs/indexing.md)",
     )
     subparser.add_argument(
         "--no-incremental",

@@ -8,28 +8,21 @@ model with the indexes the mining and matching algorithms need:
 * per-label adjacency (``out_neighbors(v, label)``) used by the matchers,
 * bounded BFS for ``Gd(vx)`` d-neighbourhood extraction (:mod:`neighborhood`),
 * k-hop label-frequency sketches used by guided search (:mod:`sketch`),
-* the fragment-resident :class:`FragmentIndex` bundling label buckets,
-  adjacency profiles and a sketch cache for the matching hot path
-  (:mod:`index`),
-* the frozen columnar kernel — CSR adjacency over interned label ids plus a
-  precomputed profile matrix, vectorized when numpy is available — that the
-  matchers' pool filtering and dual simulation run on (:mod:`columnar`).
+* the fragment-resident :class:`FragmentIndex` bundling label buckets, the
+  kernel arrays (CSR adjacency over interned label ids plus a profile
+  matrix, vectorized when numpy is available), frozen adjacency views and a
+  sketch cache for the matching hot path (:mod:`index`; its array helpers
+  live in :mod:`columnar`).
 """
 
 from repro.graph.graph import DELTA_LOG_SIZE, Edge, Graph, GraphBatch, GraphDelta
 from repro.graph.builder import GraphBuilder
-from repro.graph.columnar import (
-    ColumnarFragment,
-    ColumnarStatistics,
-    LabelTable,
-    columnar_view,
-    discard_columnar,
-    numpy_active,
-    registered_columnar,
-)
+from repro.graph.columnar import LabelTable, numpy_active
 from repro.graph.index import (
+    CompiledRequirement,
     FragmentIndex,
     IndexStatistics,
+    KernelStatistics,
     discard_index,
     graph_index,
     registered_index,
@@ -74,17 +67,14 @@ __all__ = [
     "empty_sketch",
     "sketch_dominates",
     "sketch_score",
+    "CompiledRequirement",
     "FragmentIndex",
     "IndexStatistics",
+    "KernelStatistics",
     "graph_index",
     "discard_index",
     "registered_index",
-    "ColumnarFragment",
-    "ColumnarStatistics",
     "LabelTable",
-    "columnar_view",
-    "discard_columnar",
-    "registered_columnar",
     "numpy_active",
     "induced_subgraph",
     "subgraph_from_edges",

@@ -82,7 +82,7 @@ class GraphBuilder:
 
         The shared :class:`repro.graph.columnar.LabelTable` is warmed here so
         every label present at build time gets its interned id assigned once,
-        before any columnar view or dict-path probe needs it.
+        before any index build or dict-path probe needs it.
         """
         graph = self._graph
         self._graph = Graph(name=graph.name)

@@ -1,60 +1,29 @@
-"""Columnar (array-backed) fragment views for the matching hot path.
+"""Array helpers of the fragment-resident index (:mod:`repro.graph.index`).
 
 The authoritative :class:`~repro.graph.graph.Graph` is a dict-of-dict-of-set
 structure: perfect for mutation, wasteful to *probe* — every adjacency read
-hashes strings and every ``neighbors`` call allocates a set.  This module
-compiles a graph down to a frozen columnar view:
+hashes strings.  :class:`~repro.graph.index.FragmentIndex` therefore lays its
+kernel out in arrays, using the helpers here:
 
-* **interned labels** — every node/edge label becomes a small integer through
-  a shared, append-only :class:`LabelTable` (exposed as ``Graph.label_table``),
-  so hot-path comparisons are int equality instead of string hashing;
-* **CSR adjacency** — one compressed-sparse-row block per edge label and
-  direction (``indptr``/``indices`` over dense node positions), built on
-  stdlib ``array('q')`` buffers with an optional ``numpy`` fast path behind a
-  feature probe (the core stays dependency-free; set ``REPRO_NO_NUMPY=1`` to
-  force the stdlib path even when numpy is importable);
-* **profile matrix** — the labelled adjacency profiles of
-  :func:`repro.matching.candidates.adjacency_profile`, laid out as one
-  ``|V| x |columns|`` count matrix whose columns are the observed
-  ``(direction, edge label, neighbour label)`` triples.  Candidate filtering
-  becomes a row (or, with numpy, whole-pool) comparison.
-
-Invalidation mirrors :class:`repro.graph.index.FragmentIndex`: the view pins
-``Graph.version`` at compile time, every probe goes through a ``_check`` that
-refreshes on mismatch, and ``refresh()`` prefers delta-driven patching
-(:meth:`ColumnarFragment.apply_delta`) over a full recompile while the
-touched region stays under ``rebuild_fraction``.  A patch does not rewrite
-the frozen arrays; touched nodes (and the profile rows of their neighbours)
-move into small dict *overlays* that every probe consults first.  Fully
-vectorized operations (the whole-pool candidate mask and the CSR simulation
-fixpoint) require a pristine view — consumers fall back to the dict path
-while overlays are present and regain the fast path at the next compile
-boundary (fragment lease install, checkpoint capture, index build/refresh).
+* :class:`LabelTable` — the shared, append-only ``label <-> small int``
+  interning table (exposed as ``Graph.label_table``), so hot-path
+  comparisons are int equality instead of string hashing;
+* :func:`_csr_from_pairs` — counting-sort construction of one
+  compressed-sparse-row block (``indptr``/``indices`` over dense node
+  positions);
+* :func:`numpy_or_none` — the feature probe behind the optional numpy fast
+  path (the core stays dependency-free on stdlib ``array('q')`` buffers; set
+  ``REPRO_NO_NUMPY=1`` to force the stdlib path even when numpy is
+  importable).
 """
 
 from __future__ import annotations
 
 import os
 import sys
-import threading
-import weakref
 from array import array
-from dataclasses import dataclass
-from typing import Hashable, Iterable
 
-from repro.exceptions import GraphError
-from repro.graph.graph import Graph, GraphDelta
-from repro.graph.index import default_rebuild_fraction
-from repro.obs.stats import StatisticsBase
-from repro.obs.tracing import span
-
-NodeId = Hashable
 Label = str
-
-#: Direction codes used in id-space profile triples.
-OUT, IN = 0, 1
-
-_EMPTY_FROZEN: frozenset = frozenset()
 
 
 def numpy_or_none():
@@ -62,8 +31,8 @@ def numpy_or_none():
 
     The probe honours the ``REPRO_NO_NUMPY`` environment variable (any
     non-empty value forces the stdlib ``array`` path) so both code paths are
-    testable on a machine that has numpy installed.  Resolved at every view
-    compile, not at import time.
+    testable on a machine that has numpy installed.  Resolved at every index
+    build, not at import time.
     """
     if os.environ.get("REPRO_NO_NUMPY"):
         return None
@@ -75,7 +44,7 @@ def numpy_or_none():
 
 
 def numpy_active() -> bool:
-    """Whether views compiled now would take the numpy fast path."""
+    """Whether indexes built now would take the numpy fast path."""
     return numpy_or_none() is not None
 
 
@@ -85,7 +54,7 @@ class LabelTable:
     Shared per graph (``Graph.label_table``): ids are stable for the lifetime
     of the table, labels are ``sys.intern``-ed on entry, and a label that
     disappears from the graph keeps its id (the table never shrinks, so a
-    patched columnar view never sees an id change meaning).
+    patched index never sees an id change meaning).
     """
 
     __slots__ = ("_ids", "_labels")
@@ -124,44 +93,6 @@ class LabelTable:
         self._ids = {label: i for i, label in enumerate(self._labels)}
 
 
-@dataclass(frozen=True)
-class CompiledRequirement:
-    """A pattern node's anchor requirement compiled into id/column space.
-
-    ``label_id`` is the required node label (``-1`` when the label is unknown
-    to the table — then no data node can match).  ``cols``/``needs`` cover
-    the needed triples that have a profile-matrix column; ``missing`` holds
-    needed triples without one (no array-resident node can satisfy those,
-    only overlay nodes possibly can).  ``triples`` is the full id-space
-    required profile used for overlay (dict) checks.
-    """
-
-    label_id: int
-    cols: tuple[int, ...]
-    needs: tuple[int, ...]
-    missing: tuple[tuple[int, int, int], ...]
-    triples: tuple[tuple[tuple[int, int, int], int], ...]
-
-
-@dataclass
-class ColumnarStatistics(StatisticsBase):
-    """Build/probe counters of one :class:`ColumnarFragment` (used by tests).
-
-    Snapshot/merge via :class:`repro.obs.stats.StatisticsBase`; collected as
-    ``repro_columnar_*_total`` when ``REPRO_OBS`` is on.
-    """
-
-    _metric_kind = "columnar"
-
-    builds: int = 0
-    refreshes: int = 0
-    delta_applies: int = 0
-    mask_filters: int = 0
-    row_filters: int = 0
-    simulations: int = 0
-    fallbacks: int = 0
-
-
 def _csr_from_pairs(num_nodes: int, sources, targets, np):
     """Counting-sort edge pairs into a ``(indptr, indices)`` CSR block."""
     if np is not None:
@@ -185,604 +116,3 @@ def _csr_from_pairs(num_nodes: int, sources, targets, np):
         indices[cursor[source]] = target
         cursor[source] += 1
     return indptr, indices
-
-
-class ColumnarFragment:
-    """Frozen array-backed view of one graph (see the module docstring)."""
-
-    __slots__ = (
-        "_graph_ref",
-        "rebuild_fraction",
-        "statistics",
-        "labels",
-        "_np",
-        "_built_version",
-        "_node_ids",
-        "_pos",
-        "_label_ids",
-        "_buckets",
-        "_out_csr",
-        "_in_csr",
-        "_columns",
-        "_num_columns",
-        "_counts",
-        "_positions_by_label",
-        "_overlay_labels",
-        "_overlay_profiles",
-        "_overlay_out",
-        "_overlay_in",
-        "__weakref__",
-    )
-
-    def __init__(self, graph: Graph, rebuild_fraction: float | None = None) -> None:
-        if rebuild_fraction is not None and not 0.0 <= rebuild_fraction <= 1.0:
-            raise ValueError(
-                f"rebuild_fraction must be in [0, 1], got {rebuild_fraction}"
-            )
-        self.rebuild_fraction = (
-            rebuild_fraction if rebuild_fraction is not None else default_rebuild_fraction()
-        )
-        # Weak reference for the same reason as FragmentIndex: the registry
-        # maps graph -> view with weak keys, and the view must never keep a
-        # transient graph alive.
-        self._graph_ref = weakref.ref(graph)
-        self.statistics = ColumnarStatistics()
-        self._build()
-
-    @property
-    def graph(self) -> Graph:
-        """The compiled graph; raises if it has been garbage collected."""
-        graph = self._graph_ref()
-        if graph is None:
-            raise GraphError("the graph of this ColumnarFragment no longer exists")
-        return graph
-
-    # ------------------------------------------------------------------
-    # compile / invalidation
-    # ------------------------------------------------------------------
-    def _build(self) -> None:
-        with span("columnar.compile", graph=str(self.graph.name)):
-            self._compile()
-
-    def _compile(self) -> None:
-        graph = self.graph
-        table = graph.label_table  # shared, append-only; tops itself up
-        np = numpy_or_none()
-        self._np = np
-        node_ids = list(graph._labels)
-        pos = {node: position for position, node in enumerate(node_ids)}
-        num_nodes = len(node_ids)
-        label_ids = array("q", (table.intern(graph._labels[node]) for node in node_ids))
-        buckets: dict[int, frozenset] = {
-            table.intern(label): frozenset(nodes)
-            for label, nodes in graph._nodes_by_label.items()
-        }
-        # One (sources, targets) pair list per edge-label id; the in-CSR is
-        # the same pairs with the roles swapped.
-        pairs: dict[int, tuple[array, array]] = {}
-        for source, by_label in graph._out.items():
-            source_pos = pos[source]
-            for edge_label, targets in by_label.items():
-                edge_label_id = table.intern(edge_label)
-                entry = pairs.get(edge_label_id)
-                if entry is None:
-                    entry = pairs[edge_label_id] = (array("q"), array("q"))
-                sources_arr, targets_arr = entry
-                for target in targets:
-                    sources_arr.append(source_pos)
-                    targets_arr.append(pos[target])
-        self._out_csr = {
-            edge_label_id: _csr_from_pairs(num_nodes, sources_arr, targets_arr, np)
-            for edge_label_id, (sources_arr, targets_arr) in pairs.items()
-        }
-        self._in_csr = {
-            edge_label_id: _csr_from_pairs(num_nodes, targets_arr, sources_arr, np)
-            for edge_label_id, (sources_arr, targets_arr) in pairs.items()
-        }
-        # Profile matrix: collect id-space profiles, then lay out the
-        # observed triples as columns (sorted for a deterministic order).
-        profiles: list[dict[tuple[int, int, int], int]] = [{} for _ in range(num_nodes)]
-        for edge_label_id, (sources_arr, targets_arr) in pairs.items():
-            for source_pos, target_pos in zip(sources_arr, targets_arr):
-                out_key = (OUT, edge_label_id, label_ids[target_pos])
-                profile = profiles[source_pos]
-                profile[out_key] = profile.get(out_key, 0) + 1
-                in_key = (IN, edge_label_id, label_ids[source_pos])
-                profile = profiles[target_pos]
-                profile[in_key] = profile.get(in_key, 0) + 1
-        observed: set[tuple[int, int, int]] = set()
-        for profile in profiles:
-            observed.update(profile)
-        columns = {triple: column for column, triple in enumerate(sorted(observed))}
-        num_columns = len(columns)
-        if np is not None:
-            counts = np.zeros((num_nodes, num_columns), dtype=np.int64)
-            for position, profile in enumerate(profiles):
-                row = counts[position]
-                for triple, count in profile.items():
-                    row[columns[triple]] = count
-            label_array = np.asarray(label_ids, dtype=np.int64)
-        else:
-            counts = array("q", bytes(8 * num_nodes * num_columns))
-            for position, profile in enumerate(profiles):
-                base = position * num_columns
-                for triple, count in profile.items():
-                    counts[base + columns[triple]] = count
-            label_array = label_ids
-        self.labels = table
-        self._node_ids = node_ids
-        self._pos = pos
-        self._label_ids = label_array
-        self._buckets = buckets
-        self._columns = columns
-        self._num_columns = num_columns
-        self._counts = counts
-        self._positions_by_label: dict[int, object] = {}
-        self._overlay_labels: dict[NodeId, int] = {}
-        self._overlay_profiles: dict[NodeId, dict[tuple[int, int, int], int]] = {}
-        self._overlay_out: dict[NodeId, dict[int, tuple[int, ...]]] = {}
-        self._overlay_in: dict[NodeId, dict[int, tuple[int, ...]]] = {}
-        self._built_version = graph.version
-        self.statistics.builds += 1
-
-    @property
-    def built_version(self) -> int:
-        """Graph version the current contents were compiled from."""
-        return self._built_version
-
-    @property
-    def is_stale(self) -> bool:
-        """Whether the graph has mutated since the view was (re)compiled."""
-        return self.graph.version != self._built_version
-
-    @property
-    def pristine(self) -> bool:
-        """Whether no patch overlays are present (fully vectorizable)."""
-        return not (self._overlay_labels or self._overlay_profiles)
-
-    def refresh(self) -> None:
-        """Bring the view up to date: patch forward from deltas or recompile."""
-        graph = self.graph
-        if graph.in_batch:
-            raise GraphError(
-                f"cannot refresh the columnar view of graph {graph.name!r} while "
-                "a batch_update is open: the graph is in a half-applied state"
-            )
-        with span("columnar.refresh", graph=str(graph.name)) as trace:
-            deltas = graph.deltas_since(self._built_version)
-            if deltas is not None:
-                touched_total = sum(len(delta.touched) for delta in deltas)
-                if touched_total <= self.rebuild_fraction * max(1, graph.num_nodes):
-                    for delta in deltas:
-                        if not self.apply_delta(delta):  # pragma: no cover - chain guard
-                            deltas = None
-                            break
-                    if deltas is not None:
-                        self.statistics.refreshes += 1
-                        trace.set(decision="patch", touched=touched_total)
-                        return
-                else:
-                    deltas = None
-            trace.set(decision="recompile")
-            self._build()
-            self.statistics.refreshes += 1
-
-    def apply_delta(self, delta: GraphDelta) -> bool:
-        """Patch the view in place with one recorded graph delta.
-
-        Requires ``delta.base_version`` to equal :attr:`built_version`
-        (returns ``False``, leaving the view untouched, otherwise).  Label
-        buckets are patched like ``FragmentIndex``; touched nodes — and the
-        profile rows of their current neighbours — move into dict overlays
-        that every probe consults before the frozen arrays.  After the patch
-        every probe answers exactly as a fresh compile would; only the
-        whole-array fast paths (:attr:`pristine`) are suspended until the
-        next recompile.
-        """
-        if delta.base_version != self._built_version:
-            return False
-        graph = self.graph
-        if graph.in_batch:
-            raise GraphError(
-                f"cannot patch the columnar view of graph {graph.name!r} while "
-                "a batch_update is open: the graph is in a half-applied state"
-            )
-        if not delta.net_empty:
-            self._patch(delta.touched)
-        self._built_version = delta.result_version
-        self.statistics.delta_applies += 1
-        return True
-
-    def _patch(self, touched: frozenset) -> None:
-        graph = self.graph
-        table = graph.label_table
-        labels = graph._labels
-        # Label buckets + label overlay for the touched nodes.
-        for node in touched:
-            old_id = self._label_id_of(node)
-            new_label = labels.get(node)
-            new_id = table.intern(new_label) if new_label is not None else -1
-            if old_id != new_id:
-                if old_id is not None and old_id >= 0:
-                    bucket = self._buckets.get(old_id, _EMPTY_FROZEN) - {node}
-                    if bucket:
-                        self._buckets[old_id] = bucket
-                    else:
-                        self._buckets.pop(old_id, None)
-                if new_id >= 0:
-                    self._buckets[new_id] = self._buckets.get(new_id, _EMPTY_FROZEN) | {node}
-            self._overlay_labels[node] = new_id
-        # Profiles of the touched nodes and their current neighbours;
-        # adjacency overlays for the touched nodes only (an untouched node's
-        # neighbour sets are unchanged by definition).
-        recompute: set = set()
-        for node in touched:
-            if node in labels:
-                recompute.add(node)
-                recompute.update(graph.neighbors(node))
-            else:
-                self._overlay_profiles.pop(node, None)
-                self._overlay_out.pop(node, None)
-                self._overlay_in.pop(node, None)
-        for node in recompute:
-            profile: dict[tuple[int, int, int], int] = {}
-            for edge_label, targets in graph._out[node].items():
-                edge_label_id = table.intern(edge_label)
-                for target in targets:
-                    key = (OUT, edge_label_id, table.intern(labels[target]))
-                    profile[key] = profile.get(key, 0) + 1
-            for edge_label, sources in graph._in[node].items():
-                edge_label_id = table.intern(edge_label)
-                for source in sources:
-                    key = (IN, edge_label_id, table.intern(labels[source]))
-                    profile[key] = profile.get(key, 0) + 1
-            self._overlay_profiles[node] = profile
-        for node in touched:
-            if node not in labels:
-                continue
-            self._overlay_out[node] = {
-                table.intern(edge_label): tuple(targets)
-                for edge_label, targets in graph._out[node].items()
-            }
-            self._overlay_in[node] = {
-                table.intern(edge_label): tuple(sources)
-                for edge_label, sources in graph._in[node].items()
-            }
-        self._positions_by_label = {}
-
-    def _check(self) -> None:
-        """Probe guard: refresh if the graph has mutated since compile."""
-        graph = self._graph_ref()
-        if graph is None:
-            raise GraphError("the graph of this ColumnarFragment no longer exists")
-        if graph._version == self._built_version:
-            recorder = graph._recorder
-            if recorder is None or not recorder.dirty:
-                return
-        self.refresh()
-
-    # ------------------------------------------------------------------
-    # probes: labels and buckets
-    # ------------------------------------------------------------------
-    def _label_id_of(self, node: NodeId) -> int | None:
-        """Current label id of *node* (-1 = removed, None = never seen)."""
-        overlay = self._overlay_labels.get(node)
-        if overlay is not None:
-            return overlay
-        position = self._pos.get(node)
-        if position is None:
-            return None
-        return self._label_ids[position]
-
-    def nodes_with_label(self, label: Label) -> frozenset:
-        """Frozen set of node ids carrying *label* (interned bucket probe)."""
-        self._check()
-        label_id = self.labels.id_of(label)
-        if label_id is None:
-            return _EMPTY_FROZEN
-        return self._buckets.get(label_id, _EMPTY_FROZEN)
-
-    # ------------------------------------------------------------------
-    # probes: profile matrix
-    # ------------------------------------------------------------------
-    def compile_requirement(self, pattern, pattern_node) -> CompiledRequirement:
-        """Compile a pattern node's required profile into id/column space."""
-        self._check()
-        id_of = self.labels.id_of
-        anchor_label_id = id_of(pattern.label(pattern_node))
-        needed: dict[tuple[int, int, int], int] = {}
-        unknown = False
-        for edge in pattern.out_edges(pattern_node):
-            edge_id = id_of(edge.label)
-            target_id = id_of(pattern.label(edge.target))
-            if edge_id is None or target_id is None:
-                unknown = True
-                continue
-            key = (OUT, edge_id, target_id)
-            needed[key] = needed.get(key, 0) + 1
-        for edge in pattern.in_edges(pattern_node):
-            edge_id = id_of(edge.label)
-            source_id = id_of(pattern.label(edge.source))
-            if edge_id is None or source_id is None:
-                unknown = True
-                continue
-            key = (IN, edge_id, source_id)
-            needed[key] = needed.get(key, 0) + 1
-        if unknown or anchor_label_id is None:
-            # Some required label never occurs in the graph's table, so no
-            # data node (array or overlay) can satisfy the requirement.
-            return CompiledRequirement(-1, (), (), (), ())
-        cols: list[int] = []
-        needs: list[int] = []
-        missing: list[tuple[int, int, int]] = []
-        for triple, count in needed.items():
-            column = self._columns.get(triple)
-            if column is None:
-                missing.append(triple)
-            else:
-                cols.append(column)
-                needs.append(count)
-        return CompiledRequirement(
-            anchor_label_id,
-            tuple(cols),
-            tuple(needs),
-            tuple(missing),
-            tuple(needed.items()),
-        )
-
-    def dominates(self, node: NodeId, requirement: CompiledRequirement) -> bool:
-        """Whether *node*'s label + profile satisfy *requirement*."""
-        self._check()
-        return self._dominates_unchecked(node, requirement)
-
-    def _dominates_unchecked(self, node: NodeId, requirement: CompiledRequirement) -> bool:
-        if requirement.label_id < 0:
-            return False
-        label_id = self._label_id_of(node)
-        if label_id != requirement.label_id:
-            return False
-        overlay = self._overlay_profiles.get(node)
-        if overlay is not None:
-            return all(overlay.get(triple, 0) >= count for triple, count in requirement.triples)
-        position = self._pos.get(node)
-        if position is None:
-            return False
-        if requirement.missing:
-            return False
-        counts = self._counts
-        if self._np is not None:
-            row = counts[position]
-            return all(row[column] >= count for column, count in zip(requirement.cols, requirement.needs))
-        base = position * self._num_columns
-        return all(
-            counts[base + column] >= count
-            for column, count in zip(requirement.cols, requirement.needs)
-        )
-
-    def filter_candidates(
-        self, pool: Iterable[NodeId], requirement: CompiledRequirement
-    ) -> list[NodeId]:
-        """Pool members whose label + profile satisfy *requirement*.
-
-        A necessary-condition filter: every returned node may still fail the
-        full search, but no dropped node could have matched.  With numpy and
-        a pristine view the whole pool is masked in a few array operations;
-        otherwise each member gets an int row comparison (still no string
-        hashing).
-        """
-        self._check()
-        if requirement.label_id < 0:
-            return []
-        np = self._np
-        if np is not None and self.pristine and not requirement.missing:
-            pool_list = list(pool)
-            positions = np.fromiter(
-                (self._pos.get(node, -1) for node in pool_list),
-                dtype=np.int64,
-                count=len(pool_list),
-            )
-            known = positions >= 0
-            safe = np.where(known, positions, 0)
-            keep = known & (self._label_ids[safe] == requirement.label_id)
-            if requirement.cols:
-                cols = np.asarray(requirement.cols, dtype=np.int64)
-                needs = np.asarray(requirement.needs, dtype=np.int64)
-                keep &= (self._counts[safe][:, cols] >= needs).all(axis=1)
-            self.statistics.mask_filters += 1
-            return [node for node, ok in zip(pool_list, keep) if ok]
-        self.statistics.row_filters += 1
-        return [node for node in pool if self._dominates_unchecked(node, requirement)]
-
-    # ------------------------------------------------------------------
-    # probes: CSR dual simulation
-    # ------------------------------------------------------------------
-    def _positions_with_label(self, label_id: int):
-        entry = self._positions_by_label.get(label_id)
-        if entry is None:
-            np = self._np
-            if np is not None:
-                entry = np.flatnonzero(self._label_ids == label_id)
-            else:
-                entry = [
-                    position
-                    for position, current in enumerate(self._label_ids)
-                    if current == label_id
-                ]
-            self._positions_by_label[label_id] = entry
-        return entry
-
-    def dual_simulation(self, pattern) -> dict | None:
-        """Maximum dual simulation of *pattern* over the CSR arrays.
-
-        Returns ``pattern node -> set of data node ids`` — exactly the
-        fixpoint :func:`repro.matching.simulation.maximum_dual_simulation`
-        computes on the dict graph — or ``None`` when the view carries patch
-        overlays (the caller falls back to the dict path; the next compile
-        boundary restores the fast path).  *pattern* must be copy-expanded.
-        """
-        self._check()
-        if not self.pristine:
-            self.statistics.fallbacks += 1
-            return None
-        self.statistics.simulations += 1
-        if self._np is not None:
-            return self._dual_simulation_numpy(pattern)
-        return self._dual_simulation_array(pattern)
-
-    def _empty_result(self, pattern) -> dict:
-        return {node: set() for node in pattern.nodes()}
-
-    def _dual_simulation_numpy(self, pattern) -> dict:
-        np = self._np
-        num_nodes = len(self._node_ids)
-        label_ids = self._label_ids
-        simulation: dict = {}
-        for node in pattern.nodes():
-            label_id = self.labels.id_of(pattern.label(node))
-            if label_id is None:
-                return self._empty_result(pattern)
-            mask = label_ids == label_id
-            if not mask.any():
-                return self._empty_result(pattern)
-            simulation[node] = mask
-        pattern_nodes = list(pattern.nodes())
-        changed = True
-        while changed:
-            changed = False
-            for node in pattern_nodes:
-                mask = simulation[node]
-                for edge in pattern.out_edges(node):
-                    mask = mask & self._csr_any(
-                        self._out_csr.get(self.labels.id_of(edge.label)),
-                        simulation[edge.target],
-                        num_nodes,
-                    )
-                for edge in pattern.in_edges(node):
-                    mask = mask & self._csr_any(
-                        self._in_csr.get(self.labels.id_of(edge.label)),
-                        simulation[edge.source],
-                        num_nodes,
-                    )
-                if not np.array_equal(mask, simulation[node]):
-                    simulation[node] = mask
-                    changed = True
-            if any(not simulation[node].any() for node in pattern_nodes):
-                return self._empty_result(pattern)
-        node_ids = self._node_ids
-        return {
-            node: {node_ids[position] for position in np.flatnonzero(mask)}
-            for node, mask in simulation.items()
-        }
-
-    def _csr_any(self, csr, target_mask, num_nodes: int):
-        """Boolean array: position has >= 1 CSR neighbour inside *target_mask*."""
-        np = self._np
-        if csr is None:
-            return np.zeros(num_nodes, dtype=bool)
-        indptr, indices = csr
-        hits = target_mask[indices]
-        cumulative = np.zeros(len(indices) + 1, dtype=np.int64)
-        np.cumsum(hits, out=cumulative[1:])
-        return (cumulative[indptr[1:]] - cumulative[indptr[:-1]]) > 0
-
-    def _dual_simulation_array(self, pattern) -> dict:
-        simulation: dict = {}
-        for node in pattern.nodes():
-            label_id = self.labels.id_of(pattern.label(node))
-            if label_id is None:
-                return self._empty_result(pattern)
-            positions = self._positions_with_label(label_id)
-            if not len(positions):
-                return self._empty_result(pattern)
-            simulation[node] = set(positions)
-        pattern_nodes = list(pattern.nodes())
-        changed = True
-        while changed:
-            changed = False
-            for node in pattern_nodes:
-                survivors = set()
-                for position in simulation[node]:
-                    if self._position_consistent(pattern, node, position, simulation):
-                        survivors.add(position)
-                if survivors != simulation[node]:
-                    simulation[node] = survivors
-                    changed = True
-            if any(not simulation[node] for node in pattern_nodes):
-                return self._empty_result(pattern)
-        node_ids = self._node_ids
-        return {
-            node: {node_ids[position] for position in positions}
-            for node, positions in simulation.items()
-        }
-
-    def _position_consistent(self, pattern, node, position: int, simulation) -> bool:
-        for edge in pattern.out_edges(node):
-            if not self._csr_row_hits(
-                self._out_csr.get(self.labels.id_of(edge.label)),
-                position,
-                simulation[edge.target],
-            ):
-                return False
-        for edge in pattern.in_edges(node):
-            if not self._csr_row_hits(
-                self._in_csr.get(self.labels.id_of(edge.label)),
-                position,
-                simulation[edge.source],
-            ):
-                return False
-        return True
-
-    @staticmethod
-    def _csr_row_hits(csr, position: int, targets: set) -> bool:
-        if csr is None:
-            return False
-        indptr, indices = csr
-        for offset in range(indptr[position], indptr[position + 1]):
-            if indices[offset] in targets:
-                return True
-        return False
-
-    # ------------------------------------------------------------------
-    def __repr__(self) -> str:
-        graph = self._graph_ref()
-        name = graph.name if graph is not None else "<collected>"
-        backend = "numpy" if self._np is not None else "array"
-        return (
-            f"ColumnarFragment(graph={name!r}, backend={backend}, "
-            f"version={self._built_version}, nodes={len(self._node_ids)}, "
-            f"columns={self._num_columns}, pristine={self.pristine})"
-        )
-
-
-# ----------------------------------------------------------------------
-# per-process registry (mirrors repro.graph.index.graph_index)
-# ----------------------------------------------------------------------
-_REGISTRY: "weakref.WeakKeyDictionary[Graph, ColumnarFragment]" = weakref.WeakKeyDictionary()
-_REGISTRY_LOCK = threading.Lock()
-
-
-def columnar_view(graph: Graph, rebuild_fraction: float | None = None) -> ColumnarFragment:
-    """The process-wide resident :class:`ColumnarFragment` for *graph*.
-
-    Compiles the view on first use and memoises it against the graph object;
-    *rebuild_fraction* only applies to the first (compiling) call.
-    """
-    view = _REGISTRY.get(graph)
-    if view is None:
-        with _REGISTRY_LOCK:
-            view = _REGISTRY.get(graph)
-            if view is None:
-                view = ColumnarFragment(graph, rebuild_fraction=rebuild_fraction)
-                _REGISTRY[graph] = view
-    return view
-
-
-def discard_columnar(graph: Graph) -> bool:
-    """Drop the registered view of *graph*, if any; returns whether one existed."""
-    with _REGISTRY_LOCK:
-        return _REGISTRY.pop(graph, None) is not None
-
-
-def registered_columnar(graph: Graph) -> ColumnarFragment | None:
-    """The registered view of *graph* without compiling one (None if absent)."""
-    return _REGISTRY.get(graph)

@@ -39,7 +39,7 @@ def graph_from_dict(document: dict[str, Any]) -> Graph:
     graph = Graph(name=document.get("name", "graph"))
     # Intern labels once at load time: every parsed label string collapses to
     # one shared object, so dict-path comparisons afterwards are pointer
-    # checks and the columnar LabelTable is warm before the first compile.
+    # checks and the shared LabelTable is warm before the first index build.
     for node in document["nodes"]:
         graph.add_node(node["id"], sys.intern(node["label"]), node.get("attrs") or None)
     for edge in document["edges"]:

@@ -39,18 +39,13 @@ class EIPConfig:
         Pool size for the thread/process backends; ``None`` sizes the pool
         to ``min(num_workers, cpu_count)``.
     use_index:
-        Serve matcher probes from each fragment's resident
-        :class:`repro.graph.index.FragmentIndex` (built in the worker-pool
-        initializer on the process backend).  ``False`` re-derives label
-        sets, profiles and sketches per probe; both settings identify
-        identical entities (see docs/indexing.md).
-    use_columnar:
-        Serve label-bucket candidate pools and the shared profile filter
-        from each fragment's resident
-        :class:`repro.graph.columnar.ColumnarFragment` (CSR adjacency and
-        interned-label profile matrix, vectorized when numpy is available).
-        ``False`` keeps the dict/per-probe path; both settings identify
-        identical entities (see docs/columnar.md).
+        Serve matcher probes — label-bucket candidate pools, the shared
+        profile filter (interned-label profile matrix, vectorized when numpy
+        is available), adjacency views and sketches — from each fragment's
+        resident :class:`repro.graph.index.FragmentIndex` (built in the
+        worker-pool initializer on the process backend).  ``False`` is the
+        raw-graph reference path that re-derives everything per probe; both
+        settings identify identical entities (see docs/indexing.md).
     use_incremental:
         Evaluate Σ through the prefix-trie mode of
         :class:`repro.matching.MultiPatternMatcher`: rules with a shared
@@ -66,7 +61,6 @@ class EIPConfig:
     backend: str = "sequential"
     executor_workers: int | None = None
     use_index: bool = True
-    use_columnar: bool = True
     use_incremental: bool = True
 
     def __post_init__(self) -> None:
@@ -257,7 +251,6 @@ def identify_entities(
     backend: str = "sequential",
     executor_workers: int | None = None,
     use_index: bool = True,
-    use_columnar: bool = True,
     use_incremental: bool = True,
 ) -> EIPResult:
     """Solve EIP with the named algorithm (``match``, ``matchc`` or ``disvf2``)."""
@@ -272,7 +265,6 @@ def identify_entities(
         backend=backend,
         executor_workers=executor_workers,
         use_index=use_index,
-        use_columnar=use_columnar,
         use_incremental=use_incremental,
     )
     algorithms = {"match": Match, "matchc": MatchC, "disvf2": DisVF2}

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 from typing import Hashable, Sequence
 
-from repro.graph.columnar import columnar_view
 from repro.graph.index import graph_index
 from repro.matching.base import Matcher
 from repro.matching.candidates import adjacency_profile, profile_satisfies, required_profile
@@ -39,7 +38,6 @@ class Match(MatchC):
     # worker-initializer index build pays off here (unlike MatchC's
     # ball-restricted search).
     _consumes_resident_index = True
-    _consumes_columnar = True
 
     def __init__(self, config: EIPConfig, sketch_hops: int = 2) -> None:
         super().__init__(config)
@@ -53,7 +51,6 @@ class Match(MatchC):
         return GuidedMatcher(
             sketch_hops=self.sketch_hops,
             use_index=self.config.use_index,
-            use_columnar=self.config.use_columnar,
         )
 
     def _verify_fragment(
@@ -77,16 +74,11 @@ class Match(MatchC):
         report.supp_q = len(local_positives)
         report.supp_q_bar = len(local_negatives)
 
-        columnar = (
-            columnar_view(graph)
-            if self.config.use_columnar and not graph.in_batch
-            else None
-        )
         rule_matches: dict[GPAR, set[NodeId]] = {rule: set() for rule in rules}
         antecedent_sets: dict[GPAR, set[NodeId]] = {rule: set() for rule in rules}
         qbar_counts = {rule: 0 for rule in rules}
 
-        if columnar is not None:
+        if index is not None:
             # The shared profile filter compiles to one interned-id
             # requirement per rule; domination is checked against the
             # precomputed profile matrix row of each candidate.  Same
@@ -94,10 +86,10 @@ class Match(MatchC):
             report.candidates_examined = len(owned) * len(rules)
             for rule in rules:
                 antecedent = rule.antecedent.expanded()
-                ante_req = columnar.compile_requirement(antecedent, antecedent.x)
+                ante_req = index.compile_requirement(antecedent, antecedent.x)
                 pr = rule.pr_pattern().expanded()
-                pr_req = columnar.compile_requirement(pr, pr.x)
-                for candidate in columnar.filter_candidates(owned, ante_req):
+                pr_req = index.compile_requirement(pr, pr.x)
+                for candidate in index.filter_candidates(owned, ante_req):
                     if not matcher.exists_match_at(graph, rule.antecedent, candidate):
                         continue
                     antecedent_sets[rule].add(candidate)
@@ -105,7 +97,7 @@ class Match(MatchC):
                         qbar_counts[rule] += 1
                     if candidate not in local_positives:
                         continue
-                    if not columnar.dominates(candidate, pr_req):
+                    if not index.dominates(candidate, pr_req):
                         continue
                     if matcher.exists_match_at(graph, rule.pr_pattern(), candidate):
                         rule_matches[rule].add(candidate)
@@ -121,7 +113,7 @@ class Match(MatchC):
             }
             for candidate in owned:
                 # One adjacency profile per candidate, shared by all rules of Σ.
-                profile = adjacency_profile(graph, candidate, index)
+                profile = adjacency_profile(graph, candidate)
                 for rule in rules:
                     report.candidates_examined += 1
                     if not profile_satisfies(profile, antecedent_profiles[rule]):
@@ -179,7 +171,6 @@ class Match(MatchC):
             matcher,
             use_index=self.config.use_index,
             use_prefix_trie=True,
-            use_columnar=self.config.use_columnar,
         )
         antecedent_sets = multi.shared_match_sets(
             graph, {rule: rule.antecedent for rule in rules}, candidates=owned

@@ -115,10 +115,6 @@ class MatchC:
     #: per-fragment indexes would be pure overhead; Match and DisVF2 run
     #: directly on the fragment graphs and override this to ``True``.
     _consumes_resident_index = False
-    #: Likewise for the resident columnar views: only ``Match`` routes its
-    #: profile filtering and ``match_set`` pools through them (MatchC probes
-    #: anchored existence only; disVF2's unfiltered matcher never prunes).
-    _consumes_columnar = False
 
     def __init__(self, config: EIPConfig) -> None:
         self.config = config
@@ -200,7 +196,6 @@ class MatchC:
             self.config.backend,
             self.config.executor_workers,
             build_indexes=self.config.use_index and self._consumes_resident_index,
-            build_columnar=self.config.use_columnar and self._consumes_columnar,
         )
         runtime = BSPRuntime(fragments, executor)
         runtime.start_run()

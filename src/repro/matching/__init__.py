@@ -10,13 +10,11 @@ All matchers accept ``use_index`` (default on): probes for label candidate
 sets, adjacency profiles, labelled neighbour sets and k-hop sketches are
 then served by the data graph's resident
 :class:`repro.graph.index.FragmentIndex` instead of being re-derived from
-the raw graph per call — identical results, measured ≥2× faster on repeated
-matching traffic (docs/indexing.md).  They also accept ``use_columnar``
-(default on): anchored ``match_set`` pools are then label-bucketed and
-profile-prefiltered against the graph's resident
-:class:`repro.graph.columnar.ColumnarFragment` — interned label ids, CSR
-adjacency and a precomputed profile matrix, vectorized when numpy is
-available — and dual simulation runs over CSR ranges (docs/columnar.md).
+the raw graph per call.  Anchored ``match_set`` pools are label-bucketed and
+profile-prefiltered against the index's kernel — interned label ids and a
+precomputed profile matrix, vectorized when numpy is available — and dual
+simulation runs over its CSR ranges.  ``use_index=False`` is the raw-graph
+reference path; both return identical results (docs/indexing.md).
 
 Matchers
 --------
@@ -46,7 +44,6 @@ Matchers
 from repro.matching.base import Matcher, MatchStatistics
 from repro.matching.candidates import (
     adjacency_profile,
-    columnar_filter_candidates,
     label_candidates,
     profile_satisfies,
     required_profile,
@@ -95,7 +92,6 @@ __all__ = [
     "simulation_match_set",
     "label_candidates",
     "adjacency_profile",
-    "columnar_filter_candidates",
     "required_profile",
     "profile_satisfies",
 ]

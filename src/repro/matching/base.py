@@ -7,7 +7,6 @@ from dataclasses import dataclass, field
 from typing import Hashable, Iterable, Iterator
 
 from repro.exceptions import MatchingError
-from repro.graph.columnar import ColumnarFragment, columnar_view
 from repro.graph.graph import Graph
 from repro.graph.index import FragmentIndex, graph_index
 from repro.matching.candidates import label_candidates
@@ -102,28 +101,23 @@ class Matcher(ABC):
     use_index:
         When ``True`` (default) anchored searches consult the resident
         :class:`repro.graph.index.FragmentIndex` of the data graph (label
-        buckets, adjacency profiles, frozen adjacency views, sketch cache);
+        buckets, profile-matrix probes, frozen adjacency views, sketch
+        cache), and ``match_set`` prefilters its candidate pool with the
+        index's label + profile domination probe (vectorized with numpy).
         ``False`` re-derives everything from the raw graph per probe — the
-        measured-but-slower baseline of the index benchmarks.  The two modes
-        return identical matches.
-    use_columnar:
-        When ``True`` (default) ``match_set`` prefilters its candidate pool
-        against the resident :class:`repro.graph.columnar.ColumnarFragment`
-        (interned-label + profile-matrix domination, vectorized with numpy).
-        The filter is a necessary condition for an isomorphism match, so the
-        resulting match set is identical; only the per-candidate search work
-        shrinks.  Matchers whose baseline semantics forbid the profile
-        filter (``disVF2``: ``use_degree_filter=False``) suspend it via
-        ``_columnar_prefilter``.
+        reference path the equivalence tests and benchmarks compare
+        against.  The filter is a necessary condition for an isomorphism
+        match, so both modes return identical matches.  Matchers whose
+        baseline semantics forbid the profile filter (``disVF2``:
+        ``use_degree_filter=False``) suspend it via ``_profile_prefilter``.
     """
 
-    #: Whether match_set may profile-prefilter the pool (see use_columnar).
-    _columnar_prefilter = True
+    #: Whether match_set may profile-prefilter the pool (see use_index).
+    _profile_prefilter = True
 
-    def __init__(self, use_index: bool = True, use_columnar: bool = True) -> None:
+    def __init__(self, use_index: bool = True) -> None:
         self.statistics = MatchStatistics()
         self.use_index = use_index
-        self.use_columnar = use_columnar
 
     def reset_statistics(self) -> None:
         """Zero the work counters."""
@@ -134,12 +128,6 @@ class Matcher(ABC):
         if not self.use_index:
             return None
         return graph_index(graph)
-
-    def _columnar(self, graph: Graph) -> ColumnarFragment | None:
-        """The data graph's resident columnar view, or ``None`` when disabled."""
-        if not self.use_columnar:
-            return None
-        return columnar_view(graph)
 
     # -- anchored queries -------------------------------------------------
     @abstractmethod
@@ -163,22 +151,20 @@ class Matcher(ABC):
         label-index candidates or a previously computed superset).
         """
         expanded = pattern.expanded()
-        columnar = self._columnar(graph) if self._columnar_prefilter else None
+        index = self._index(graph)
         if candidates is None:
             # With a resident index this is the index's frozen bucket —
             # no per-probe copy; it is only iterated here, never mutated.
-            pool: Iterable[NodeId] = label_candidates(
-                graph, expanded, expanded.x, self._index(graph), columnar
-            )
+            pool: Iterable[NodeId] = label_candidates(graph, expanded, expanded.x, index)
         else:
             pool = candidates
-        if columnar is not None:
+        if index is not None and self._profile_prefilter:
             # Interned-id label + profile-domination mask over the whole
             # pool: a necessary condition, so dropped candidates could never
             # have matched — the match set is unchanged by construction.
-            requirement = columnar.compile_requirement(expanded, expanded.x)
+            requirement = index.compile_requirement(expanded, expanded.x)
             before = len(pool) if hasattr(pool, "__len__") else None
-            pool = columnar.filter_candidates(pool, requirement)
+            pool = index.filter_candidates(pool, requirement)
             if before is not None:
                 self.statistics.profile_prunes += before - len(pool)
         matched: set[NodeId] = set()

@@ -1,25 +1,21 @@
 """Candidate generation and cheap necessary-condition filters.
 
 Every helper accepts an optional :class:`repro.graph.index.FragmentIndex`;
-when one is supplied the probe is answered from the resident index (a dict
-lookup) instead of being re-derived from the raw graph (an O(degree) walk).
-The results are identical by construction — the index is a memoisation of
-exactly these quantities.
-
-The pool-level filter (:func:`columnar_filter_candidates`) additionally
-accepts a :class:`repro.graph.columnar.ColumnarFragment`: the label check
-and the profile-domination check then run in interned-id space against the
-precomputed profile matrix — with numpy, as one mask over the whole pool.
-Both checks are necessary conditions for an isomorphism match, so filtering
+when one is supplied the probe is answered from the resident index instead
+of being re-derived from the raw graph (an O(degree) walk).  Profile checks
+then run as the index's kernel probes — interned-id requirements against the
+precomputed profile matrix (:meth:`FragmentIndex.compile_requirement` /
+:meth:`~FragmentIndex.dominates`).  The results are identical by
+construction: the index is a memoisation of exactly these quantities, and
+every check is a necessary condition for an isomorphism match, so filtering
 never changes a match set, only the work done to compute it.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from typing import Hashable, Iterable
+from typing import Hashable
 
-from repro.graph.columnar import ColumnarFragment
 from repro.graph.graph import Graph
 from repro.graph.index import FragmentIndex
 from repro.pattern.pattern import Pattern
@@ -36,37 +32,18 @@ def label_candidates(
     pattern: Pattern,
     pattern_node,
     index: FragmentIndex | None = None,
-    columnar: ColumnarFragment | None = None,
 ) -> frozenset | set[NodeId]:
     """Data nodes whose label satisfies the search condition of *pattern_node*.
 
-    With an *index* (or a *columnar* view) this returns a frozen label bucket
-    **directly** — no per-probe copy; callers that need to mutate the result
-    must copy it themselves (``set(...)``).  Without either the graph already
-    hands out a fresh mutable set.
+    With an *index* this returns a frozen label bucket **directly** — no
+    per-probe copy; callers that need to mutate the result must copy it
+    themselves (``set(...)``).  Without one the graph already hands out a
+    fresh mutable set.
     """
     label = pattern.label(pattern_node)
-    if columnar is not None:
-        return columnar.nodes_with_label(label)
     if index is not None:
         return index.nodes_with_label(label)
     return graph.nodes_with_label(label)
-
-
-def columnar_filter_candidates(
-    columnar: ColumnarFragment,
-    pattern: Pattern,
-    pattern_node,
-    pool: Iterable[NodeId],
-) -> list[NodeId]:
-    """Pool members that satisfy *pattern_node*'s label + profile requirement.
-
-    Equivalent to keeping every ``v`` with ``graph.node_label(v) ==
-    pattern.label(pattern_node)`` and ``degree_consistent(graph, v, pattern,
-    pattern_node)``, evaluated against the columnar profile matrix.
-    """
-    requirement = columnar.compile_requirement(pattern, pattern_node)
-    return columnar.filter_candidates(pool, requirement)
 
 
 def required_profile(pattern: Pattern, pattern_node) -> Profile:
@@ -86,9 +63,10 @@ def required_profile(pattern: Pattern, pattern_node) -> Profile:
 def adjacency_profile(graph: Graph, node: NodeId, index: FragmentIndex | None = None) -> Profile:
     """Labelled adjacency profile of a data node.
 
-    This is the quantity :class:`repro.matching.MultiPatternMatcher` caches
+    This is the quantity the reference (index-free) paths of
+    :class:`repro.matching.MultiPatternMatcher` and ``Match`` compute once
     per candidate so that every rule in Σ reuses it.  With an *index* the
-    precomputed profile is returned directly (treat it as read-only).
+    profile is decoded from the index's profile matrix.
     """
     if index is not None:
         return index.profile(node)
@@ -115,11 +93,15 @@ def degree_consistent(
     pattern_node,
     index: FragmentIndex | None = None,
 ) -> bool:
-    """Cheap degree-based necessary condition for ``data_node`` to match.
+    """Cheap label + degree necessary condition for ``data_node`` to match.
 
-    For every (direction, edge label, neighbour label) the pattern requires,
-    the data node must have at least as many such neighbours.
+    The data node must carry the pattern node's label and, for every
+    (direction, edge label, neighbour label) the pattern requires, have at
+    least as many such neighbours.  With an *index* this is the kernel's
+    memoised-requirement probe instead of a per-call profile comparison.
     """
-    return profile_satisfies(
-        adjacency_profile(graph, data_node, index), required_profile(pattern, pattern_node)
+    if index is not None:
+        return index.dominates(data_node, index.compile_requirement(pattern, pattern_node))
+    return graph.node_label(data_node) == pattern.label(pattern_node) and profile_satisfies(
+        adjacency_profile(graph, data_node), required_profile(pattern, pattern_node)
     )

@@ -35,7 +35,7 @@ class GuidedMatcher(Matcher):
         If ``True`` candidates whose sketch cannot dominate the pattern
         node's sketch are discarded before the recursive search.
     use_index:
-        Serve data-node sketches, adjacency profiles and frozen adjacency
+        Serve data-node sketches, profile probes and frozen adjacency
         views from the graph's resident :class:`FragmentIndex` — the sketch
         cache is then shared by every matcher probing the same graph in the
         process, instead of being private to this instance.
@@ -46,9 +46,8 @@ class GuidedMatcher(Matcher):
         sketch_hops: int = 2,
         use_sketch_pruning: bool = True,
         use_index: bool = True,
-        use_columnar: bool = True,
     ) -> None:
-        super().__init__(use_index=use_index, use_columnar=use_columnar)
+        super().__init__(use_index=use_index)
         if sketch_hops < 1:
             raise ValueError(f"sketch_hops must be >= 1, got {sketch_hops}")
         self.sketch_hops = sketch_hops

@@ -44,13 +44,13 @@ class LocalityMatcher(Matcher):
     """
 
     def __init__(self, inner: Matcher, radius: int | None = None, cache_balls: bool = True) -> None:
-        super().__init__(use_columnar=getattr(inner, "use_columnar", True))
+        super().__init__(use_index=getattr(inner, "use_index", True))
         self.inner = inner
         self.radius = radius
         self.cache_balls = cache_balls
         # The pool prefilter of match_set must mirror the inner matcher's
         # semantics (a disVF2 inner must pay the unfiltered search).
-        self._columnar_prefilter = getattr(inner, "_columnar_prefilter", True)
+        self._profile_prefilter = getattr(inner, "_profile_prefilter", True)
         # Keyed by the graph object itself (identity hash) so cached balls
         # keep their source graph alive and ids are never reused; each entry
         # is pinned to the Graph.version it was extracted at, so a graph

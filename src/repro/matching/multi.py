@@ -24,7 +24,6 @@ from __future__ import annotations
 from collections import Counter
 from typing import Hashable, Iterable, Mapping, Sequence
 
-from repro.graph.columnar import columnar_view
 from repro.graph.graph import Graph
 from repro.graph.index import graph_index
 from repro.matching.base import Matcher, MatchStatistics
@@ -56,17 +55,15 @@ class MultiPatternMatcher:
     use_profile_filter:
         Enable the shared adjacency-profile necessary condition.
     use_index:
-        Serve candidate pools and adjacency profiles from the data graph's
-        resident :class:`repro.graph.index.FragmentIndex`.
+        Serve candidate pools from the data graph's resident
+        :class:`repro.graph.index.FragmentIndex` and run the shared profile
+        filter as its kernel probe — one interned-id pool mask per rule
+        instead of a python profile comparison per ``(candidate, rule)``
+        pair.  The filter remains a necessary condition, so the match sets
+        are identical.
     use_prefix_trie:
         Share antecedent-prefix match sets across the workload (see the
         module docstring); identical results either way.
-    use_columnar:
-        Run the shared profile filter against the data graph's resident
-        :class:`repro.graph.columnar.ColumnarFragment` — one interned-id
-        pool mask per rule instead of a python profile comparison per
-        ``(candidate, rule)`` pair.  The filter remains a necessary
-        condition, so the match sets are identical.
     """
 
     def __init__(
@@ -75,19 +72,12 @@ class MultiPatternMatcher:
         use_profile_filter: bool = True,
         use_index: bool = True,
         use_prefix_trie: bool = False,
-        use_columnar: bool = True,
     ) -> None:
         self.matcher = matcher
         self.use_profile_filter = use_profile_filter
         self.use_index = use_index
         self.use_prefix_trie = use_prefix_trie
-        self.use_columnar = use_columnar
         self.statistics = MatchStatistics()
-
-    def _columnar(self, graph: Graph):
-        if not (self.use_columnar and self.use_profile_filter) or graph.in_batch:
-            return None
-        return columnar_view(graph)
 
     # ------------------------------------------------------------------
     # prefix-trie mode
@@ -179,19 +169,16 @@ class MultiPatternMatcher:
                 self.statistics.prefix_pool_hits += 1
             if self.use_profile_filter and pool is not None:
                 expanded = pattern.expanded()
-                columnar = self._columnar(graph)
-                if columnar is not None:
-                    requirement = columnar.compile_requirement(expanded, expanded.x)
-                    pool = columnar.filter_candidates(pool, requirement)
+                if index is not None:
+                    requirement = index.compile_requirement(expanded, expanded.x)
+                    pool = index.filter_candidates(pool, requirement)
                 else:
                     needed = required_profile(expanded, expanded.x)
                     pool = [
                         node
                         for node in pool
                         if graph.has_node(node)
-                        and profile_satisfies(
-                            adjacency_profile(graph, node, index), needed
-                        )
+                        and profile_satisfies(adjacency_profile(graph, node), needed)
                     ]
             results[key] = self.matcher.match_set(graph, pattern, candidates=pool)
         self.statistics.merge(self.matcher.statistics)
@@ -226,13 +213,7 @@ class MultiPatternMatcher:
         for rule in rules:
             by_x_label.setdefault(rule.x_label, []).append(rule)
 
-        # Pre-compute the required adjacency profile of x for every rule.
-        needed_profiles = {
-            rule: required_profile(rule.pr_pattern().expanded(), rule.x) for rule in rules
-        }
-
         index = graph_index(graph) if self.use_index else None
-        columnar = self._columnar(graph)
         candidate_list = None if candidates is None else list(candidates)
         for x_label, label_rules in by_x_label.items():
             if candidate_list is None:
@@ -246,15 +227,15 @@ class MultiPatternMatcher:
                     for node in candidate_list
                     if graph.has_node(node) and graph.node_label(node) == x_label
                 ]
-            if columnar is not None:
+            if index is not None and self.use_profile_filter:
                 # One interned-id mask per rule over the whole pool instead of
                 # a python profile comparison per (candidate, rule) pair.  The
                 # statistics keep the pairwise accounting of the dict path.
                 pool = list(pool)
                 for rule in label_rules:
                     expanded = rule.pr_pattern().expanded()
-                    requirement = columnar.compile_requirement(expanded, expanded.x)
-                    survivors = columnar.filter_candidates(pool, requirement)
+                    requirement = index.compile_requirement(expanded, expanded.x)
+                    survivors = index.filter_candidates(pool, requirement)
                     self.statistics.candidates_considered += len(pool)
                     self.statistics.profile_prunes += len(pool) - len(survivors)
                     for candidate in survivors:
@@ -263,11 +244,14 @@ class MultiPatternMatcher:
                         ):
                             results[rule].add(candidate)
                 continue
+            # Required adjacency profile of x, computed once per rule.
+            needed_profiles = {
+                rule: required_profile(rule.pr_pattern().expanded(), rule.x)
+                for rule in label_rules
+            }
             for candidate in pool:
                 profile = (
-                    adjacency_profile(graph, candidate, index)
-                    if self.use_profile_filter
-                    else None
+                    adjacency_profile(graph, candidate) if self.use_profile_filter else None
                 )
                 for rule in label_rules:
                     self.statistics.candidates_considered += 1

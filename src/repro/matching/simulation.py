@@ -22,7 +22,6 @@ from __future__ import annotations
 
 from typing import Hashable
 
-from repro.graph.columnar import ColumnarFragment, columnar_view
 from repro.graph.graph import Graph
 from repro.graph.index import FragmentIndex, graph_index
 from repro.pattern.pattern import Pattern
@@ -34,25 +33,21 @@ def maximum_dual_simulation(
     pattern: Pattern,
     graph: Graph,
     index: FragmentIndex | None = None,
-    columnar: ColumnarFragment | None = None,
 ) -> dict[Hashable, set[NodeId]]:
     """Compute the maximum dual simulation of *pattern* into *graph*.
 
     Returns a mapping ``pattern node -> set of data nodes`` that simulate it;
     all sets are empty when no total simulation exists (some pattern node has
-    no simulating data node).  With an *index* the label seeding and the
-    per-candidate neighbour probes of the refinement loop are answered from
-    the resident :class:`FragmentIndex` instead of copying adjacency sets.
-    With a *columnar* view the whole refinement runs over CSR ranges in
-    interned-id space (vectorized when numpy is available); the maximum
-    simulation is unique, so the result is identical to the dict fixpoint.
-    The columnar path requires a pristine (overlay-free) view — a patched
-    view returns ``None`` from ``dual_simulation`` and the dict path below
-    takes over until the next compile boundary.
+    no simulating data node).  With an *index* the whole refinement runs over
+    its CSR ranges in interned-id space (vectorized when numpy is available);
+    the maximum simulation is unique, so the result is identical to the dict
+    fixpoint.  A patched index declines (``dual_simulation`` returns
+    ``None``) and the loop below runs on its label buckets and frozen
+    adjacency views instead, until the index next rebuilds.
     """
     expanded = pattern.expanded()
-    if columnar is not None:
-        result = columnar.dual_simulation(expanded)
+    if index is not None:
+        result = index.dual_simulation(expanded)
         if result is not None:
             return result
     # Initial candidates: label agreement.
@@ -112,9 +107,8 @@ class SimulationMatcher:
     maximum simulation rather than by per-candidate search.
     """
 
-    def __init__(self, use_index: bool = True, use_columnar: bool = True) -> None:
+    def __init__(self, use_index: bool = True) -> None:
         self.use_index = use_index
-        self.use_columnar = use_columnar
         # Cache of maximum simulations keyed by (pattern, graph identity),
         # each entry pinned to the Graph.version it was computed at: a
         # mutated graph (e.g. under repro.stream update batches) recomputes
@@ -128,10 +122,7 @@ class SimulationMatcher:
         if entry is not None and entry[0] == graph.version and not graph.in_batch:
             return entry[1]
         index = graph_index(graph) if self.use_index else None
-        columnar = (
-            columnar_view(graph) if self.use_columnar and not graph.in_batch else None
-        )
-        simulation = maximum_dual_simulation(pattern, graph, index, columnar)
+        simulation = maximum_dual_simulation(pattern, graph, index)
         if not graph.in_batch:  # a half-applied batch state must not linger
             self._cache[key] = (graph.version, simulation)
             self._graphs[id(graph)] = graph  # keep the graph alive for id stability

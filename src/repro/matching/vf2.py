@@ -30,25 +30,18 @@ class VF2Matcher(Matcher):
         ``disVF2`` baseline of the paper disables every extra filter.
     use_index:
         Consult the data graph's resident :class:`FragmentIndex` for label
-        buckets, adjacency profiles and frozen adjacency views (see
-        :class:`repro.matching.base.Matcher`).
-    use_columnar:
-        Prefilter ``match_set`` pools against the resident columnar view
-        (see :class:`repro.matching.base.Matcher`).  Suspended automatically
+        buckets, profile probes and frozen adjacency views, and prefilter
+        ``match_set`` pools with its kernel (see
+        :class:`repro.matching.base.Matcher`).  The prefilter is suspended
         when *use_degree_filter* is off: the ``disVF2`` baseline must pay
         the full per-candidate search the paper measures.
     """
 
-    def __init__(
-        self,
-        use_degree_filter: bool = True,
-        use_index: bool = True,
-        use_columnar: bool = True,
-    ) -> None:
-        super().__init__(use_index=use_index, use_columnar=use_columnar)
+    def __init__(self, use_degree_filter: bool = True, use_index: bool = True) -> None:
+        super().__init__(use_index=use_index)
         self.use_degree_filter = use_degree_filter
         if not use_degree_filter:
-            self._columnar_prefilter = False
+            self._profile_prefilter = False
 
     # ------------------------------------------------------------------
     def find_match_at(self, graph: Graph, pattern: Pattern, anchor_value: NodeId) -> dict | None:

@@ -122,7 +122,6 @@ class DMine:
             config.backend,
             config.executor_workers,
             build_indexes=config.use_index,
-            build_columnar=config.use_columnar,
         )
         runtime = BSPRuntime(fragments, executor)
         runtime.start_run()

@@ -45,11 +45,11 @@ from repro.pattern.pattern import Pattern
 NodeId = Hashable
 
 
-def make_matcher(kind: str, use_index: bool = True, use_columnar: bool = True) -> Matcher:
+def make_matcher(kind: str, use_index: bool = True) -> Matcher:
     """Instantiate the anchored matcher named by a config string."""
     if kind == "guided":
-        return GuidedMatcher(use_index=use_index, use_columnar=use_columnar)
-    return VF2Matcher(use_index=use_index, use_columnar=use_columnar)
+        return GuidedMatcher(use_index=use_index)
+    return VF2Matcher(use_index=use_index)
 
 
 def seed_rule(predicate: Pattern, name: str = "seed") -> GPAR:
@@ -81,11 +81,7 @@ class LocalMiner:
         self.fragment = fragment
         self.predicate = predicate
         self.config = config
-        self.matcher = make_matcher(
-            config.matcher,
-            use_index=config.use_index,
-            use_columnar=config.use_columnar,
-        )
+        self.matcher = make_matcher(config.matcher, use_index=config.use_index)
         # Pin the fragment's resident index so every probe this miner makes
         # (and every other consumer in the process) shares one build; on the
         # process backend the build already happened in the pool initializer.

@@ -3,7 +3,7 @@
 :class:`StatisticsBase` is the mixin behind every ``*Statistics`` dataclass
 (:class:`~repro.matching.base.MatchStatistics`,
 :class:`~repro.graph.index.IndexStatistics`,
-:class:`~repro.graph.columnar.ColumnarStatistics`,
+:class:`~repro.graph.index.KernelStatistics`,
 :class:`~repro.matching.incremental.StoreStatistics`): ``snapshot()`` is a
 plain field dict, ``merge()`` adds one field-wise — replacing the ad-hoc
 hand-written accumulation those classes and their consumers used to carry.

@@ -61,13 +61,11 @@ class Executor(ABC):
     fragment's resident :class:`repro.graph.index.FragmentIndex` up front —
     in the worker-pool initializer for the process backend, in-process for
     the sequential/thread backends — so every backend begins its first round
-    with warm fragment indexes.  ``build_columnar`` does the same for the
-    resident :class:`repro.graph.columnar.ColumnarFragment` views.
+    with warm fragment indexes.
     """
 
     name = "abstract"
     build_indexes = True
-    build_columnar = True
     # The process backend builds indexes inside its pool initializer instead
     # of in the coordinator process (where the fragments are never matched).
     _warm_indexes_in_parent = True
@@ -77,17 +75,11 @@ class Executor(ABC):
         self._contexts = {
             fragment.index: WorkerContext(fragment) for fragment in fragments
         }
-        if self._warm_indexes_in_parent:
-            if self.build_indexes:
-                from repro.graph.index import graph_index
+        if self._warm_indexes_in_parent and self.build_indexes:
+            from repro.graph.index import graph_index
 
-                for fragment in fragments:
-                    graph_index(fragment.graph)
-            if self.build_columnar:
-                from repro.graph.columnar import columnar_view
-
-                for fragment in fragments:
-                    columnar_view(fragment.graph)
+            for fragment in fragments:
+                graph_index(fragment.graph)
 
     def shutdown(self) -> None:
         """Release pooled resources; called once after the last round."""
@@ -248,7 +240,7 @@ class ProcessPoolExecutorBackend(Executor):
             max_workers=processes,
             mp_context=context,
             initializer=init_worker,
-            initargs=(fragment_list, self.build_indexes, self.build_columnar),
+            initargs=(fragment_list, self.build_indexes),
         )
 
     def shutdown(self) -> None:
@@ -291,16 +283,13 @@ def make_executor(
     backend: str,
     max_workers: int | None = None,
     build_indexes: bool = True,
-    build_columnar: bool = True,
 ) -> Executor:
     """Instantiate the execution backend named by a config/CLI string.
 
     *build_indexes* controls whether the backend builds the fragments'
     resident :class:`repro.graph.index.FragmentIndex` at start (see
     :class:`Executor`); algorithm configs pass their ``use_index`` flag here
-    so unindexed baseline runs skip the build entirely.  *build_columnar*
-    does the same for the resident columnar views (the ``use_columnar``
-    flag of the algorithm configs).
+    so unindexed baseline runs skip the build entirely.
     """
     if backend == "sequential":
         executor: Executor = SequentialExecutor()
@@ -311,5 +300,4 @@ def make_executor(
     else:
         raise ExecutorError(f"unknown backend {backend!r}; expected one of {BACKENDS}")
     executor.build_indexes = build_indexes
-    executor.build_columnar = build_columnar
     return executor

@@ -65,20 +65,13 @@ class WorkerContext:
             return value
 
 
-def init_worker(
-    fragments: Sequence[Fragment],
-    build_indexes: bool = True,
-    build_columnar: bool = True,
-) -> None:
+def init_worker(fragments: Sequence[Fragment], build_indexes: bool = True) -> None:
     """Pool initializer: install *fragments* in this process's registry.
 
     With *build_indexes* (the default) each fragment's resident
     :class:`~repro.graph.index.FragmentIndex` is built here, once per worker
-    process, so every round's matching work starts from a warm index;
-    *build_columnar* does the same for the resident
-    :class:`~repro.graph.columnar.ColumnarFragment` views.
+    process, so every round's matching work starts from a warm index.
     """
-    from repro.graph.columnar import columnar_view
     from repro.graph.index import graph_index
 
     _FRAGMENTS.clear()
@@ -87,8 +80,6 @@ def init_worker(
         _FRAGMENTS[fragment.index] = fragment
         if build_indexes:
             graph_index(fragment.graph)
-        if build_columnar:
-            columnar_view(fragment.graph)
 
 
 def context_for(fragment_id: int) -> WorkerContext:

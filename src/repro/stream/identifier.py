@@ -47,13 +47,11 @@ from __future__ import annotations
 import pickle
 import threading
 import time
-import warnings
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Hashable, Sequence
 
 from repro.exceptions import StreamError
-from repro.graph.columnar import registered_columnar
 from repro.graph.graph import Graph, GraphDelta
 from repro.graph.index import registered_index
 from repro.graph.neighborhood import multi_source_ball
@@ -193,8 +191,8 @@ def stream_update_worker(
 
     When the payload asks for tracing, the worker records its phases into a
     fragment-local :class:`~repro.obs.tracing.Tracer` (installed as the
-    thread-local override, so nested module-level spans — the index/columnar
-    refreshes — land in it too, on every backend) and ships the records back
+    thread-local override, so nested module-level spans — the index
+    refresh — land in it too, on every backend) and ships the records back
     on ``report.spans`` for the coordinator to adopt.
     """
     if not payload.traced:
@@ -217,10 +215,6 @@ def _stream_verify(
     if index is not None and index.is_stale:
         with span("stream.worker.index_refresh"):
             index.refresh()
-    columnar = registered_columnar(fragment.graph)
-    if columnar is not None and columnar.is_stale:
-        with span("stream.worker.columnar_refresh"):
-            columnar.refresh()
 
     config = payload.config
     solver = payload.solver_cls(config)
@@ -284,25 +278,10 @@ class StreamingIdentifier:
         algorithm: str = "match",
         stream_config: StreamConfig | None = None,
         radius_floor: int = 0,
-        **config_overrides,
     ) -> None:
-        if config_overrides:
-            if config is not None:
-                raise StreamError(
-                    "pass either an explicit EIPConfig or keyword overrides, "
-                    f"not both (got config and {sorted(config_overrides)})"
-                )
-            warnings.warn(
-                "passing EIPConfig fields as keyword arguments to "
-                "StreamingIdentifier is deprecated and will be removed in the "
-                "next release; build an explicit EIPConfig (or use "
-                "repro.api.open_session, which owns config construction)",
-                DeprecationWarning,
-                stacklevel=2,
-            )
         self.graph = graph
         self.rules = tuple(rules)
-        self.config = config if config is not None else EIPConfig(**config_overrides)
+        self.config = config if config is not None else EIPConfig()
         self.algorithm = algorithm
         self.stream_config = stream_config if stream_config is not None else StreamConfig()
         # Floor on the verification radius: fragments are partitioned (and
@@ -408,23 +387,16 @@ class StreamingIdentifier:
             self.config.backend,
             self.config.executor_workers,
             build_indexes=self.config.use_index and solver_cls._consumes_resident_index,
-            build_columnar=self.config.use_columnar and solver_cls._consumes_columnar,
         )
         self.runtime = BSPRuntime(self.fragments, executor)
         self.runtime.start_run()
-        # In-process backends share the coordinator's fragment indexes and
-        # columnar views; honour the configured rebuild fraction on them
-        # directly (process pools inherit it through the exported
-        # environment variable).
+        # In-process backends share the coordinator's fragment indexes;
+        # honour the configured rebuild fraction on them directly (process
+        # pools inherit it through the exported environment variable).
         for fragment in self.fragments:
             resident = registered_index(fragment.graph)
             if resident is not None:
                 resident.rebuild_fraction = self.stream_config.delta_rebuild_fraction
-            resident_columnar = registered_columnar(fragment.graph)
-            if resident_columnar is not None:
-                resident_columnar.rebuild_fraction = (
-                    self.stream_config.delta_rebuild_fraction
-                )
         self._closed = False
         # apply() is not re-entrant: it mutates the authoritative graph, the
         # lifecycle manager and the stored reports in sequence, so a second
@@ -942,7 +914,6 @@ class StreamingIdentifier:
             backend=self.config.backend,
             executor_workers=self.config.executor_workers,
             use_index=self.config.use_index,
-            use_columnar=self.config.use_columnar,
             use_incremental=self.config.use_incremental,
         )
 

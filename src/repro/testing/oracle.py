@@ -348,7 +348,7 @@ class TenantDivergence:
     batch_index: int  #: batch after which it surfaced (-1 = initial state)
     tenant: str  #: "*" for failures not attributable to one tenant
     backend: str
-    use_columnar: bool
+    use_index: bool
     detail: str
     expected: object = None  #: independent ``identify_entities`` fingerprint
     actual: object = None  #: shared-core projection fingerprint
@@ -357,7 +357,7 @@ class TenantDivergence:
         where = "initial state" if self.batch_index == INITIAL else f"batch {self.batch_index}"
         return (
             f"[tenant {self.tenant}] {where} on backend={self.backend} "
-            f"columnar={'on' if self.use_columnar else 'off'}: {self.detail}"
+            f"index={'on' if self.use_index else 'off'}: {self.detail}"
         )
 
 
@@ -371,12 +371,12 @@ def multi_tenant_check(
     algorithm: str = "match",
     seed: int = 0,
     backends: Sequence[str] = ("sequential",),
-    columnar_modes: Sequence[bool] = (True,),
+    index_modes: Sequence[bool] = (True,),
     radius_floor: int = 0,
 ) -> list[TenantDivergence]:
     """Cross-Σ correctness: shared-core projections vs independent runs.
 
-    For every ``backend × columnar`` combination, admits every tenant into
+    For every ``backend × index mode`` combination, admits every tenant into
     one :class:`~repro.stream.MultiTenantIdentifier` over a copy of *graph*,
     then — initially and after **each** batch — asserts every tenant's
     :meth:`result_for` projection is :func:`eip_fingerprint`-identical to an
@@ -390,17 +390,17 @@ def multi_tenant_check(
 
     divergences: list[TenantDivergence] = []
     for backend in backends:
-        for use_columnar in columnar_modes:
-            use_columnar = bool(use_columnar)
+        for use_index in index_modes:
+            use_index = bool(use_index)
             config = EIPConfig(
                 eta=eta,
                 num_workers=num_workers,
                 seed=seed,
                 backend=backend,
-                use_columnar=use_columnar,
+                use_index=use_index,
             )
             mark = lambda **kw: TenantDivergence(  # noqa: E731
-                backend=backend, use_columnar=use_columnar, **kw
+                backend=backend, use_index=use_index, **kw
             )
             multi = MultiTenantIdentifier(
                 graph.copy(),

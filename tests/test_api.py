@@ -9,9 +9,9 @@ Covers the serving semantics the HTTP boundary builds on, without HTTP:
 * ``Session.deltas`` — per-tick deltas equal to the set-difference of
   fresh recomputes across seeded random batches (the pattern of
   ``tests/test_stream_equivalence.py``);
-* explicit config objects end-to-end, with the legacy
-  ``StreamingIdentifier(**config_overrides)`` path warning once and the
-  re-entrant ``apply()`` guard rejecting interleaved ticks.
+* explicit config objects end-to-end — ``StreamingIdentifier`` rejects
+  keyword config overrides — and the re-entrant ``apply()`` guard
+  rejecting interleaved ticks.
 """
 
 from __future__ import annotations
@@ -125,18 +125,14 @@ class TestFacades:
 
 
 class TestConfigDeprecation:
-    def test_kwargs_warn_but_still_work(self):
+    def test_keyword_overrides_raise_type_error(self):
         graph, rules = _workload()
-        with pytest.warns(DeprecationWarning):
-            identifier = StreamingIdentifier(graph, rules, eta=0.1, num_workers=2)
-        try:
-            assert identifier.config == EIPConfig(eta=0.1, num_workers=2)
-        finally:
-            identifier.close()
+        with pytest.raises(TypeError):
+            StreamingIdentifier(graph, rules, eta=0.1, num_workers=2)
 
     def test_config_and_kwargs_together_is_an_error(self):
         graph, rules = _workload()
-        with pytest.raises(StreamError, match="not both"):
+        with pytest.raises(TypeError):
             StreamingIdentifier(graph, rules, config=EIPConfig(), eta=0.1)
 
     def test_open_session_never_warns(self, recwarn):

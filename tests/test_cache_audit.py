@@ -55,7 +55,6 @@ AUDITED_ELSEWHERE = {
     "MatchStore",  # entry.version pinning: tests/test_stream.py, this file below
     "FragmentIndex",  # built_version pinning: tests/test_index.py, this file below
     "MultiPatternMatcher",  # pattern-keyed chain memo only (immutable keys)
-    "ColumnarFragment",  # built_version pinning: tests/test_columnar.py, below
 }
 
 _CACHE_HINTS = ("cache", "sketch", "memo", "graphs", "store")
@@ -218,16 +217,26 @@ def test_frozen_neighbors_view_never_serves_stale_reads():
         assert index.neighbors(node) == frozenset(graph.neighbors(node))
 
 
-def test_resident_columnar_view_never_serves_stale_reads():
-    """ColumnarFragment's version guard runs on every probe, like the index."""
-    from repro.graph.columnar import columnar_view, registered_columnar
-
-    graph, _patterns = _workload(seed=4)
-    view = columnar_view(graph)
-    label = sorted(graph.node_labels())[0]
-    before = view.nodes_with_label(label)
-    fresh_node = "audit-columnar-fresh"
-    graph.add_node(fresh_node, label)
-    assert view.nodes_with_label(label) == before | {fresh_node}
-    assert view.built_version == graph.version
-    assert registered_columnar(graph) is view
+def test_resident_index_kernel_never_serves_stale_reads():
+    """The kernel probes run the same per-probe version guard as the buckets."""
+    graph, patterns = _workload(seed=4)
+    index = graph_index(graph)
+    pattern = patterns[0].expanded()
+    label = pattern.label(pattern.x)
+    requirement = index.compile_requirement(pattern, pattern.x)
+    before = index.filter_candidates(sorted(graph.nodes(), key=str), requirement)
+    # A fresh node that satisfies the requirement: copy one survivor's
+    # labelled neighbourhood onto it.
+    model = before[0]
+    fresh_node = "audit-kernel-fresh"
+    with graph.batch_update():
+        graph.add_node(fresh_node, label)
+        for edge in graph.out_edges(model):
+            graph.add_edge(fresh_node, edge.target, edge.label)
+        for edge in list(graph.in_edges(model)):
+            graph.add_edge(edge.source, fresh_node, edge.label)
+    requirement = index.compile_requirement(pattern, pattern.x)
+    after = index.filter_candidates(sorted(graph.nodes(), key=str), requirement)
+    assert fresh_node in after and set(before) <= set(after)
+    assert index.built_version == graph.version
+    assert registered_index(graph) is index

@@ -1,12 +1,13 @@
-"""Unit tests of the columnar fragment kernel (repro.graph.columnar).
+"""Unit tests of the index kernel: the array layer of repro.graph.index.
 
-Covers the LabelTable interning contract, CSR construction on both the
-numpy and the pure-``array`` backend, the compiled-requirement filter
-against its dict-path definition, delta-driven patching (overlays answer
-probes exactly like a fresh compile; vectorized paths suspend until the
-next compile boundary), the probe-time staleness guard, and the
-per-process registry.  Cross-implementation equivalence at scale lives in
-tests/test_columnar_equivalence.py.
+Covers the LabelTable interning contract and numpy probe
+(repro.graph.columnar), CSR construction on both the numpy and the
+pure-``array`` backend, the compiled-requirement probes of
+:class:`~repro.graph.index.FragmentIndex` against their dict-path
+definitions, delta-driven patching (profile overlays answer probes exactly
+like a fresh build; the vectorized paths stay suspended until the next
+rebuild), the probe-time staleness guard, and the per-process registry.
+Equivalence at scale lives in tests/test_columnar_equivalence.py.
 """
 
 from __future__ import annotations
@@ -18,16 +19,8 @@ from contextlib import contextmanager
 import pytest
 
 from repro.datasets import most_frequent_predicates, synthetic_graph
-from repro.graph import Graph
-from repro.graph.columnar import (
-    ColumnarFragment,
-    LabelTable,
-    columnar_view,
-    discard_columnar,
-    numpy_active,
-    numpy_or_none,
-    registered_columnar,
-)
+from repro.graph import FragmentIndex, Graph, discard_index, graph_index, registered_index
+from repro.graph.columnar import LabelTable, numpy_active, numpy_or_none
 from repro.matching.candidates import degree_consistent
 from repro.matching.simulation import maximum_dual_simulation
 from repro.pattern import Pattern, PatternEdge
@@ -36,7 +29,7 @@ from repro.stream import random_update_batch
 
 @contextmanager
 def numpy_disabled(disabled: bool = True):
-    """Force the pure-``array`` code path for compiles inside the block."""
+    """Force the pure-``array`` code path for index builds inside the block."""
     if not disabled:
         yield
         return
@@ -51,7 +44,7 @@ def numpy_disabled(disabled: bool = True):
             os.environ["REPRO_NO_NUMPY"] = previous
 
 
-#: Both compile backends when numpy is importable, else just the stdlib one.
+#: Both build backends when numpy is importable, else just the stdlib one.
 BACKENDS = [True, False] if numpy_or_none() is not None else [False]
 
 
@@ -112,7 +105,7 @@ def test_probe_honours_disable_env():
 def test_compile_backend_follows_probe(use_numpy):
     graph = _small_graph()
     with numpy_disabled(not use_numpy):
-        view = ColumnarFragment(graph)
+        view = FragmentIndex(graph)
     assert ("numpy" in repr(view)) == use_numpy
 
 
@@ -123,7 +116,7 @@ def test_compile_backend_follows_probe(use_numpy):
 def test_buckets_match_graph(use_numpy):
     graph = _small_graph()
     with numpy_disabled(not use_numpy):
-        view = ColumnarFragment(graph)
+        view = FragmentIndex(graph)
     for label in graph.node_labels():
         assert view.nodes_with_label(label) == graph.nodes_with_label(label)
     assert view.nodes_with_label("no-such-label") == frozenset()
@@ -134,7 +127,7 @@ def test_filter_candidates_equals_dict_filter(use_numpy):
     graph = _small_graph()
     pattern = _pattern_for(graph).expanded()
     with numpy_disabled(not use_numpy):
-        view = ColumnarFragment(graph)
+        view = FragmentIndex(graph)
     pool = sorted(graph.nodes(), key=str)
     for pattern_node in pattern.nodes():
         requirement = view.compile_requirement(pattern, pattern_node)
@@ -155,14 +148,14 @@ def test_dual_simulation_equals_dict_fixpoint(use_numpy):
     graph = _small_graph()
     pattern = _pattern_for(graph)
     with numpy_disabled(not use_numpy):
-        view = ColumnarFragment(graph)
+        view = FragmentIndex(graph)
         result = view.dual_simulation(pattern.expanded())
     assert result == maximum_dual_simulation(pattern, graph)
 
 
 def test_unknown_pattern_label_filters_everything():
     graph = _small_graph()
-    view = ColumnarFragment(graph)
+    view = FragmentIndex(graph)
     alien = Pattern(nodes={"x": "label-not-in-graph"}, edges=[], x="x")
     requirement = view.compile_requirement(alien, alien.x)
     assert requirement.label_id == -1
@@ -171,14 +164,14 @@ def test_unknown_pattern_label_filters_everything():
 
 
 # ----------------------------------------------------------------------
-# invalidation: patch overlays and recompiles
+# invalidation: patches and rebuilds
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize("use_numpy", BACKENDS)
 def test_patched_view_answers_like_a_fresh_compile(use_numpy):
     graph = _small_graph(seed=5)
     pattern = _pattern_for(graph).expanded()
     with numpy_disabled(not use_numpy):
-        view = ColumnarFragment(graph, rebuild_fraction=1.0)  # always patch
+        view = FragmentIndex(graph, rebuild_fraction=1.0)  # always patch
         for position in range(3):
             batch = random_update_batch(graph, size=6, seed=40 + position)
             batch.apply(graph)
@@ -202,25 +195,29 @@ def test_patched_view_answers_like_a_fresh_compile(use_numpy):
 def test_patched_view_suspends_vectorized_paths_until_recompile():
     graph = _small_graph(seed=6)
     pattern = _pattern_for(graph).expanded()
-    view = ColumnarFragment(graph, rebuild_fraction=1.0)
+    view = FragmentIndex(graph, rebuild_fraction=1.0)
     assert view.pristine
     batch = random_update_batch(graph, size=6, seed=9)
     batch.apply(graph)
     view.refresh()
-    if view.pristine:  # a net-empty batch leaves no overlays; force one
+    if view.pristine:  # a net-empty batch patches nothing; force a patch
         graph.add_node("overlay-probe", sorted(graph.node_labels())[0])
         view.refresh()
     assert not view.pristine
     assert view.dual_simulation(pattern) is None  # caller falls back to dicts
-    assert view.statistics.fallbacks > 0
-    view._build()  # the compile boundary restores the fast path
+    assert view.kernel_statistics.fallbacks > 0
+    # Only a rebuild restores the fast path: a refresh whose touched share
+    # exceeds rebuild_fraction.
+    view.rebuild_fraction = 0.0
+    graph.add_node("rebuild-probe", sorted(graph.node_labels())[0])
+    view.refresh()
     assert view.pristine
     assert view.dual_simulation(pattern) == maximum_dual_simulation(pattern, graph)
 
 
 def test_rebuild_fraction_zero_always_recompiles():
     graph = _small_graph(seed=7)
-    view = ColumnarFragment(graph, rebuild_fraction=0.0)
+    view = FragmentIndex(graph, rebuild_fraction=0.0)
     builds_before = view.statistics.builds
     graph.add_node("fresh", sorted(graph.node_labels())[0])
     view.refresh()
@@ -230,7 +227,7 @@ def test_rebuild_fraction_zero_always_recompiles():
 
 def test_apply_delta_rejects_wrong_base_version():
     graph = _small_graph(seed=8)
-    view = ColumnarFragment(graph)
+    view = FragmentIndex(graph)
     graph.add_node("one", sorted(graph.node_labels())[0])
     graph.add_node("two", sorted(graph.node_labels())[0])
     deltas = graph.deltas_since(view.built_version)
@@ -241,8 +238,9 @@ def test_apply_delta_rejects_wrong_base_version():
 
 
 def test_probe_guard_refreshes_stale_views():
+    """The kernel probes share the index's per-probe version guard."""
     graph = _small_graph(seed=9)
-    view = ColumnarFragment(graph)
+    view = FragmentIndex(graph)
     label = sorted(graph.node_labels())[0]
     before = view.nodes_with_label(label)
     graph.add_node("guard-probe", label)
@@ -252,7 +250,7 @@ def test_probe_guard_refreshes_stale_views():
 def test_rebuild_fraction_validation():
     graph = _small_graph(seed=10)
     with pytest.raises(ValueError):
-        ColumnarFragment(graph, rebuild_fraction=1.5)
+        FragmentIndex(graph, rebuild_fraction=1.5)
 
 
 # ----------------------------------------------------------------------
@@ -260,17 +258,17 @@ def test_rebuild_fraction_validation():
 # ----------------------------------------------------------------------
 def test_registry_memoises_and_discards():
     graph = _small_graph(seed=11)
-    assert registered_columnar(graph) is None
-    view = columnar_view(graph)
-    assert columnar_view(graph) is view
-    assert registered_columnar(graph) is view
-    assert discard_columnar(graph)
-    assert not discard_columnar(graph)
-    assert registered_columnar(graph) is None
+    assert registered_index(graph) is None
+    view = graph_index(graph)
+    assert graph_index(graph) is view
+    assert registered_index(graph) is view
+    assert discard_index(graph)
+    assert not discard_index(graph)
+    assert registered_index(graph) is None
 
 
 def test_view_holds_graph_weakly():
-    view = columnar_view(_small_graph(seed=12))
+    view = graph_index(_small_graph(seed=12))
     import gc
 
     gc.collect()
@@ -292,8 +290,8 @@ def test_csr_matches_hand_built_adjacency(use_numpy):
     graph.add_edge("a", "c", "e")
     graph.add_edge("b", "c", "f")
     with numpy_disabled(not use_numpy):
-        view = ColumnarFragment(graph)
-    edge_id = view.labels.id_of("e")
+        view = FragmentIndex(graph)
+    edge_id = view.label_table.id_of("e")
     indptr, indices = view._out_csr[edge_id]
     position = view._pos["a"]
     row = {view._node_ids[indices[offset]] for offset in range(indptr[position], indptr[position + 1])}

@@ -1,19 +1,21 @@
-"""Randomized equivalence: columnar matching == dict matching, always.
+"""Randomized equivalence: the index kernel == the dict definitions, always.
 
-The resident :class:`repro.graph.columnar.ColumnarFragment` is a frozen
-re-encoding of the fragment (interned label ids, CSR adjacency, a
+The kernel of the resident :class:`repro.graph.index.FragmentIndex` is an
+array re-encoding of the fragment (interned label ids, CSR adjacency, a
 precomputed profile matrix), so every probe must agree with the dict-backed
 definitions byte for byte.  Three layers of evidence:
 
-* a hypothesis suite drives random graphs through compile → random update
-  batches → refresh (both the patch and the recompile policy) and checks
+* a hypothesis suite drives random graphs through build → random update
+  batches → refresh (both the patch and the rebuild policy) and checks
   label buckets, candidate filtering and dual simulation against the
   dict-path oracles after every step, on both the numpy and the pure-array
   backend;
 * ~50 seeded random graph/pattern pairs run VF2, dual simulation and guided
-  search with the columnar kernel on and off, requiring identical matches;
+  search on the resident index *after* a random update batch has patched
+  it, against the raw-graph reference path (tests/test_index_equivalence.py
+  covers freshly built indexes);
 * full DMine / EIP pipelines run across all three execution backends ×
-  columnar {on, off} × numpy {available, disabled}, requiring one single
+  index {on, off} × numpy {available, disabled}, requiring one single
   result fingerprint everywhere (the cross-backend gate the bench smoke
   also enforces).
 """
@@ -28,8 +30,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.datasets import generate_gpars, most_frequent_predicates, synthetic_graph
-from repro.graph import Graph
-from repro.graph.columnar import ColumnarFragment, numpy_or_none
+from repro.graph import FragmentIndex, Graph, graph_index
+from repro.graph.columnar import numpy_or_none
 from repro.identification import identify_entities
 from repro.matching import GuidedMatcher, SimulationMatcher, VF2Matcher
 from repro.matching.candidates import degree_consistent
@@ -47,9 +49,9 @@ EDGE_LABELS = ["knows", "lives", "buys", "sells"]
 
 @contextmanager
 def numpy_disabled(disabled: bool = True):
-    """Force the pure-``array`` code path for compiles inside the block.
+    """Force the pure-``array`` code path for index builds inside the block.
 
-    The probe re-resolves per compile, so flipping the environment variable
+    The probe re-resolves per build, so flipping the environment variable
     is enough — no reimport needed.  (A plain context manager instead of
     monkeypatch: hypothesis forbids function-scoped fixtures under @given.)
     """
@@ -73,7 +75,7 @@ NUMPY_MODES = [True, False] if numpy_or_none() is not None else [False]
 
 
 # ----------------------------------------------------------------------
-# hypothesis: compile -> random deltas -> refresh -> dict equality
+# hypothesis: build -> random deltas -> refresh -> dict equality
 # ----------------------------------------------------------------------
 @st.composite
 def random_graphs(draw, max_nodes: int = 14, max_extra_edges: int = 25) -> Graph:
@@ -120,8 +122,8 @@ def _pattern_from_graph(graph: Graph, rng: random.Random, max_edges: int = 3) ->
     return Pattern(nodes=nodes, edges=edges, x="x")
 
 
-def _assert_view_matches_dicts(graph: Graph, view: ColumnarFragment, rng: random.Random):
-    """Every columnar probe must agree with its dict-path definition."""
+def _assert_view_matches_dicts(graph: Graph, view: FragmentIndex, rng: random.Random):
+    """Every kernel probe must agree with its dict-path definition."""
     for label in graph.node_labels():
         assert view.nodes_with_label(label) == graph.nodes_with_label(label)
     pattern = _pattern_from_graph(graph, rng)
@@ -153,12 +155,12 @@ def _assert_view_matches_dicts(graph: Graph, view: ColumnarFragment, rng: random
 )
 @settings(max_examples=30, deadline=None)
 def test_columnar_tracks_random_deltas(use_numpy, graph, seed, always_patch):
-    """compile → batch_update → recompile-or-patch → equality, repeatedly."""
+    """build → batch_update → rebuild-or-patch → equality, repeatedly."""
     rng = random.Random(seed)
     with numpy_disabled(not use_numpy):
         # rebuild_fraction=1.0 forces the delta-patch path, 0.0 forces a
-        # full recompile at every refresh; both must stay exact.
-        view = ColumnarFragment(graph, rebuild_fraction=1.0 if always_patch else 0.0)
+        # full rebuild at every refresh; both must stay exact.
+        view = FragmentIndex(graph, rebuild_fraction=1.0 if always_patch else 0.0)
         _assert_view_matches_dicts(graph, view, rng)
         for _ in range(3):
             batch = random_update_batch(
@@ -174,20 +176,26 @@ def test_columnar_tracks_random_deltas(use_numpy, graph, seed, always_patch):
 @given(graph=random_graphs(), seed=st.integers(min_value=0, max_value=10_000))
 @settings(max_examples=20, deadline=None)
 def test_batch_update_then_recompile_equals_fresh_compile(use_numpy, graph, seed):
-    """A patched-then-recompiled view is indistinguishable from a fresh one."""
+    """A patched-then-rebuilt index is indistinguishable from a fresh one."""
     rng = random.Random(seed)
     with numpy_disabled(not use_numpy):
-        view = ColumnarFragment(graph, rebuild_fraction=1.0)
+        view = FragmentIndex(graph, rebuild_fraction=1.0)
         batch = random_update_batch(
             graph, size=rng.randint(1, 8), seed=rng.randrange(10_000)
         )
         batch.apply(graph)  # applies as one batch_update internally
         view.refresh()
-        view._build()  # the lifecycle-owned compile boundary
-        fresh = ColumnarFragment(graph)
+        # The next refresh whose touched share exceeds rebuild_fraction
+        # rebuilds the arrays from the current graph.
+        view.rebuild_fraction = 0.0
+        graph.add_node("rebuild-probe", NODE_LABELS[0])
+        view.refresh()
+        fresh = FragmentIndex(graph)
         assert view.pristine and fresh.pristine
         for label in graph.node_labels():
             assert view.nodes_with_label(label) == fresh.nodes_with_label(label)
+        for node in graph.nodes():
+            assert view.profile(node) == fresh.profile(node)
         pattern = _pattern_from_graph(graph, rng)
         if pattern is not None:
             expanded = pattern.expanded()
@@ -195,7 +203,7 @@ def test_batch_update_then_recompile_equals_fresh_compile(use_numpy, graph, seed
 
 
 # ----------------------------------------------------------------------
-# 50 seeds: every matcher, columnar on == columnar off
+# 50 seeds: every matcher, patched resident index == reference path
 # ----------------------------------------------------------------------
 def _workload(seed: int):
     """One seeded random (graph, patterns) pair, small enough to enumerate."""
@@ -221,38 +229,48 @@ def _canonical_mappings(mappings: list[dict]) -> list[tuple]:
     )
 
 
+def _patched(graph: Graph, seed: int) -> Graph:
+    """Build the resident index, then mutate so the next probe patches it."""
+    graph_index(graph, rebuild_fraction=1.0)
+    random_update_batch(graph, size=6, seed=seed).apply(graph)
+    return graph
+
+
 @pytest.mark.parametrize("seed", SEEDS)
 def test_vf2_columnar_equals_dict(seed):
     graph, patterns = _workload(seed)
-    plain = VF2Matcher(use_columnar=False)
-    columnar = VF2Matcher(use_columnar=True)
+    _patched(graph, seed)
+    plain = VF2Matcher(use_index=False)
+    resident = VF2Matcher(use_index=True)
     for pattern in patterns:
-        assert columnar.match_set(graph, pattern) == plain.match_set(graph, pattern)
+        assert resident.match_set(graph, pattern) == plain.match_set(graph, pattern)
         expected = plain.find_all(graph, pattern)
-        actual = columnar.find_all(graph, pattern)
+        actual = resident.find_all(graph, pattern)
         assert _canonical_mappings(actual) == _canonical_mappings(expected)
 
 
 @pytest.mark.parametrize("seed", SEEDS)
 def test_simulation_columnar_equals_dict(seed):
     graph, patterns = _workload(seed)
-    plain = SimulationMatcher(use_columnar=False)
-    columnar = SimulationMatcher(use_columnar=True)
+    _patched(graph, seed)
+    plain = SimulationMatcher(use_index=False)
+    resident = SimulationMatcher(use_index=True)
     for pattern in patterns:
-        assert columnar.match_set(graph, pattern) == plain.match_set(graph, pattern)
+        assert resident.match_set(graph, pattern) == plain.match_set(graph, pattern)
 
 
 @pytest.mark.parametrize("seed", SEEDS)
 def test_guided_columnar_equals_dict(seed):
     graph, patterns = _workload(seed)
-    plain = GuidedMatcher(use_columnar=False)
-    columnar = GuidedMatcher(use_columnar=True)
+    _patched(graph, seed)
+    plain = GuidedMatcher(use_index=False)
+    resident = GuidedMatcher(use_index=True)
     for pattern in patterns:
-        assert columnar.match_set(graph, pattern) == plain.match_set(graph, pattern)
+        assert resident.match_set(graph, pattern) == plain.match_set(graph, pattern)
 
 
 # ----------------------------------------------------------------------
-# full pipelines: backends × columnar modes × numpy modes, one fingerprint
+# full pipelines: backends × index modes × numpy modes, one fingerprint
 # ----------------------------------------------------------------------
 def _eip_fingerprint(result):
     return (
@@ -277,7 +295,7 @@ def test_eip_one_fingerprint_across_backends_columnar_and_numpy_modes():
     for use_numpy in NUMPY_MODES:
         with numpy_disabled(not use_numpy):
             for backend in BACKENDS:
-                for use_columnar in (False, True):
+                for use_index in (False, True):
                     result = identify_entities(
                         graph,
                         rules,
@@ -286,7 +304,7 @@ def test_eip_one_fingerprint_across_backends_columnar_and_numpy_modes():
                         algorithm="match",
                         backend=backend,
                         executor_workers=2,
-                        use_columnar=use_columnar,
+                        use_index=use_index,
                     )
                     fingerprints.add(repr(_eip_fingerprint(result)))
     assert len(fingerprints) == 1
@@ -305,13 +323,13 @@ def _dmine_fingerprint(result):
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
-def test_dmine_equivalent_across_columnar_modes(backend):
+def test_dmine_equivalent_across_index_and_numpy_modes(backend):
     graph = synthetic_graph(150, 450, num_node_labels=6, num_edge_labels=4, seed=2)
     predicate = most_frequent_predicates(graph, top=1)[0]
     fingerprints = set()
     for use_numpy in NUMPY_MODES:
         with numpy_disabled(not use_numpy):
-            for use_columnar in (False, True):
+            for use_index in (False, True):
                 config = DMineConfig(
                     k=3,
                     d=2,
@@ -322,7 +340,7 @@ def test_dmine_equivalent_across_columnar_modes(backend):
                     max_rules_per_round=10,
                     backend=backend,
                     executor_workers=2,
-                    use_columnar=use_columnar,
+                    use_index=use_index,
                 )
                 fingerprints.add(repr(_dmine_fingerprint(dmine(graph, predicate, config))))
     assert len(fingerprints) == 1

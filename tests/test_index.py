@@ -250,3 +250,93 @@ class TestRegistry:
 
         with pytest.raises(GraphError):
             index.profile("alice")
+
+
+class TestStreamingTick:
+    def test_tick_refreshes_each_fragment_once_and_matches_a_fresh_build(self):
+        """One ``index.refresh`` per changed fragment per tick, nothing else.
+
+        The patched structure must answer the kernel probes exactly like a
+        fresh build of the same fragment graph.
+        """
+        import re
+
+        from repro.datasets import generate_gpars, most_frequent_predicates
+        from repro.identification import EIPConfig
+        from repro.obs import Tracer, install, uninstall
+        from repro.stream import (
+            StreamingIdentifier,
+            UpdateBatch,
+            UpdateOp,
+            random_update_batch,
+        )
+
+        graph = synthetic_graph(300, 900, num_node_labels=5, num_edge_labels=3, seed=21)
+        predicate = most_frequent_predicates(graph, top=1)[0]
+        rules = generate_gpars(graph, predicate, count=3, max_pattern_edges=3, d=2, seed=21)
+        with StreamingIdentifier(
+            graph, rules, config=EIPConfig(eta=0.5, num_workers=2)
+        ) as identifier:
+            fragment_graphs = [fragment.graph for fragment in identifier.fragments]
+            before = [fragment_graph.version for fragment_graph in fragment_graphs]
+            # Relabelling a hub changes its neighbours' profiles without
+            # touching them, so the patch must recompute their rows too.
+            x_label = rules[0].x_label
+            hub = max(
+                (node for node in graph.nodes() if graph.node_label(node) != x_label),
+                key=lambda node: (graph.degree(node), str(node)),
+            )
+            new_label = sorted(
+                set(graph.node_labels()) - {x_label, graph.node_label(hub)}
+            )[0]
+            batch = UpdateBatch.of(
+                UpdateOp.relabel_node(hub, new_label),
+                *random_update_batch(graph, size=6, seed=5),
+            )
+            tracer = install(Tracer())
+            try:
+                identifier.apply(batch)
+            finally:
+                uninstall()
+            names = [record["name"] for record in tracer.records()]
+            assert not [name for name in names if "columnar" in name]
+            refreshes: dict[int, int] = {}
+            for record in tracer.records():
+                if record["name"] == "index.refresh":
+                    worker = re.match(r"t\d+\.w(\d+)\.", record["span_id"])
+                    assert worker is not None, record
+                    fragment = int(worker.group(1))
+                    refreshes[fragment] = refreshes.get(fragment, 0) + 1
+            changed = {
+                position
+                for position, fragment_graph in enumerate(fragment_graphs)
+                if fragment_graph.version != before[position]
+            }
+            assert changed
+            assert refreshes == {position: 1 for position in changed}
+
+            patterns = []
+            for rule in rules:
+                patterns += [rule.antecedent.expanded(), rule.pr_pattern().expanded()]
+            patched_any = False
+            for fragment_graph in fragment_graphs:
+                index = registered_index(fragment_graph)
+                fresh = FragmentIndex(fragment_graph)
+                patched_any |= not index.pristine
+                pool = sorted(fragment_graph.nodes(), key=str)
+                for label in fragment_graph.node_labels():
+                    assert index.nodes_with_label(label) == fresh.nodes_with_label(label)
+                for node in pool:
+                    assert index.profile(node) == fresh.profile(node)
+                for pattern in patterns:
+                    for pattern_node in pattern.nodes():
+                        patched_req = index.compile_requirement(pattern, pattern_node)
+                        fresh_req = fresh.compile_requirement(pattern, pattern_node)
+                        assert index.filter_candidates(
+                            pool, patched_req
+                        ) == fresh.filter_candidates(pool, fresh_req)
+                        for node in pool:
+                            assert index.dominates(node, patched_req) == fresh.dominates(
+                                node, fresh_req
+                            )
+            assert patched_any, "the tick must take the patch path somewhere"

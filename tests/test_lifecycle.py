@@ -17,6 +17,7 @@ import pytest
 from repro.datasets import generate_gpars, most_frequent_predicates, synthetic_graph
 from repro.exceptions import GraphError, StreamError
 from repro.graph import FragmentIndex, Graph
+from repro.identification.eip import EIPConfig
 from repro.partition import Fragment, partition_graph
 from repro.partition.lifecycle import (
     APPLIED_SEQUENCE_KEY,
@@ -215,7 +216,7 @@ class TestFragmentCheckpoint:
 
 
 class TestFragmentManager:
-    def _streaming(self, config=None, seed=3, num_workers=3, **overrides):
+    def _streaming(self, config=None, seed=3, num_workers=3):
         graph = synthetic_graph(
             120, 360, num_node_labels=5, num_edge_labels=3, seed=seed
         )
@@ -226,10 +227,8 @@ class TestFragmentManager:
         identifier = StreamingIdentifier(
             graph,
             rules,
-            eta=0.5,
-            num_workers=num_workers,
+            config=EIPConfig(eta=0.5, num_workers=num_workers),
             stream_config=config,
-            **overrides,
         )
         return graph, rules, identifier
 
@@ -398,12 +397,15 @@ class TestFragmentManager:
 
 
 class TestSaveRestore:
-    def _identifier(self, **overrides):
+    def _identifier(self, stream_config=None, **config_fields):
         graph = synthetic_graph(100, 300, num_node_labels=5, num_edge_labels=3, seed=8)
         predicate = most_frequent_predicates(graph, top=1)[0]
         rules = generate_gpars(graph, predicate, count=3, max_pattern_edges=3, d=2, seed=8)
         return graph, StreamingIdentifier(
-            graph, rules, eta=0.5, num_workers=2, **overrides
+            graph,
+            rules,
+            config=EIPConfig(eta=0.5, num_workers=2, **config_fields),
+            stream_config=stream_config,
         )
 
     @staticmethod
@@ -658,7 +660,9 @@ class TestMeasuredCostRebalance:
             "record_round_timing",
             lambda self, seconds: (recorded.append(dict(seconds)), original(self, seconds))[1],
         )
-        with StreamingIdentifier(graph, rules, eta=0.5, num_workers=3) as identifier:
+        with StreamingIdentifier(
+            graph, rules, config=EIPConfig(eta=0.5, num_workers=3)
+        ) as identifier:
             identifier.apply(random_update_batch(graph, size=6, seed=11))
             # Every round reports one measured time per fragment...
             assert recorded

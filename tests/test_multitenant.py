@@ -232,7 +232,7 @@ class TestMultiTenantIdentifier:
             num_workers=2,
             seed=3,
             backends=("sequential", "threads"),
-            columnar_modes=(True, False),
+            index_modes=(True, False),
         )
         assert divergences == []
 

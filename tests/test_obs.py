@@ -288,15 +288,14 @@ class TestTracer:
 # ----------------------------------------------------------------------
 class TestStatisticsProtocol:
     def _all_statistics(self):
-        from repro.graph.columnar import ColumnarStatistics
-        from repro.graph.index import IndexStatistics
+        from repro.graph.index import IndexStatistics, KernelStatistics
         from repro.matching.base import MatchStatistics
         from repro.matching.incremental import StoreStatistics
 
         return [
             MatchStatistics,
             IndexStatistics,
-            ColumnarStatistics,
+            KernelStatistics,
             StoreStatistics,
         ]
 

@@ -26,6 +26,9 @@ from repro.stream import (
     random_update_batch,
 )
 
+#: Explicit config of the streaming tests (there is no keyword-override path).
+_EIP = EIPConfig(eta=0.5, num_workers=2)
+
 
 def toy_graph() -> Graph:
     g = Graph(name="toy")
@@ -405,14 +408,14 @@ class TestStreamingIdentifierLifecycle:
             consequent_label=predicate.edges()[0].label,
             validate=False,
         )
-        with StreamingIdentifier(graph, [free_y], eta=0.5, num_workers=2) as identifier:
+        with StreamingIdentifier(graph, [free_y], config=_EIP) as identifier:
             assert free_y in identifier._census_parts
             identifier.apply(random_update_batch(graph, size=5, seed=3))
             identifier.result  # maintained without StreamError
 
     def test_external_mutation_is_detected(self):
         graph, rules = self._workload()
-        with StreamingIdentifier(graph, rules, eta=0.5, num_workers=2) as identifier:
+        with StreamingIdentifier(graph, rules, config=_EIP) as identifier:
             identifier.result  # fine
             graph.add_node("sneaky", "outsider")
             with pytest.raises(StreamError):
@@ -422,7 +425,7 @@ class TestStreamingIdentifierLifecycle:
 
     def test_closed_identifier_rejects_apply(self):
         graph, rules = self._workload()
-        identifier = StreamingIdentifier(graph, rules, eta=0.5, num_workers=2)
+        identifier = StreamingIdentifier(graph, rules, config=_EIP)
         identifier.close()
         identifier.close()  # idempotent
         with pytest.raises(StreamError):
@@ -430,7 +433,7 @@ class TestStreamingIdentifierLifecycle:
 
     def test_worker_index_is_patched_not_rebuilt(self):
         graph, rules = self._workload()
-        with StreamingIdentifier(graph, rules, eta=0.5, num_workers=2) as identifier:
+        with StreamingIdentifier(graph, rules, config=_EIP) as identifier:
             fragment_graphs = [fragment.graph for fragment in identifier.fragments]
             indexes = [registered_index(g) for g in fragment_graphs]
             assert all(index is not None for index in indexes)

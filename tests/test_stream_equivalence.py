@@ -24,6 +24,7 @@ import pytest
 from repro.datasets import generate_gpars, most_frequent_predicates, synthetic_graph
 from repro.graph import FragmentIndex, graph_index
 from repro.identification import identify_entities
+from repro.identification.eip import EIPConfig
 from repro.matching import (
     DeltaMatcher,
     GuidedMatcher,
@@ -98,8 +99,8 @@ def test_patched_index_is_byte_identical_to_fresh_build(seed):
     fresh = FragmentIndex(graph)
     assert index._labels == fresh._labels
     assert index._nodes_by_label == fresh._nodes_by_label
-    assert index._profiles == fresh._profiles
     for node in sorted(graph.nodes(), key=str):
+        assert index.profile(node) == fresh.profile(node)
         assert index.sketch(node) == fresh.sketch(node)
         for label in sorted(graph.edge_labels()):
             assert index.out_neighbors(node, label) == fresh.out_neighbors(node, label)
@@ -210,7 +211,7 @@ def test_streaming_identifier_equals_recompute(seed):
     predicate = most_frequent_predicates(graph, top=1)[0]
     rules = generate_gpars(graph, predicate, count=3, max_pattern_edges=3, d=2, seed=seed)
     with StreamingIdentifier(
-        graph, rules, eta=0.5, num_workers=2 + seed % 3, seed=0
+        graph, rules, config=EIPConfig(eta=0.5, num_workers=2 + seed % 3, seed=0)
     ) as identifier:
         assert _eip_fingerprint(identifier.result) == _eip_fingerprint(
             identifier.recompute()
@@ -240,13 +241,15 @@ def test_streaming_identifier_across_backends(backend, algorithm, use_index):
     with StreamingIdentifier(
         graph,
         rules,
-        eta=0.5,
-        num_workers=3,
-        seed=0,
-        backend=backend,
-        executor_workers=2,
+        config=EIPConfig(
+            eta=0.5,
+            num_workers=3,
+            seed=0,
+            backend=backend,
+            executor_workers=2,
+            use_index=use_index,
+        ),
         algorithm=algorithm,
-        use_index=use_index,
     ) as identifier:
         for position in range(2):
             batch = random_update_batch(graph, size=7, seed=900 + position)
@@ -344,7 +347,7 @@ def test_census_maintained_free_y_rules_equal_whole_graph_matching(seed):
     if not rules:
         pytest.skip("this seed mined no free-y rules")
     with StreamingIdentifier(
-        graph, rules, eta=0.5, num_workers=2 + seed % 3, seed=0
+        graph, rules, config=EIPConfig(eta=0.5, num_workers=2 + seed % 3, seed=0)
     ) as identifier:
         assert identifier._census_parts, "mined free-y rules must census-split"
         _census_oracle_check(identifier, rules)
@@ -373,7 +376,9 @@ def test_census_injectivity_couples_free_and_anchored_labels():
     )
     rule = GPAR(antecedent, consequent_label="buys", validate=False)
     oracle = VF2Matcher(use_index=False)
-    with StreamingIdentifier(graph, [rule], eta=0.5, num_workers=1) as identifier:
+    with StreamingIdentifier(
+        graph, [rule], config=EIPConfig(eta=0.5, num_workers=1)
+    ) as identifier:
         # One cust total: the x-part matches at c1, but the isolated free y
         # (also cust-labelled) has no injective completion.
         assert not oracle.exists_match_at(graph, antecedent, "c1")
@@ -411,7 +416,9 @@ def test_census_rule_with_extra_isolated_free_node():
     )
     rule = GPAR(antecedent, consequent_label="wins", validate=False)
     oracle = VF2Matcher(use_index=False)
-    with StreamingIdentifier(graph, [rule], eta=0.5, num_workers=1) as identifier:
+    with StreamingIdentifier(
+        graph, [rule], config=EIPConfig(eta=0.5, num_workers=1)
+    ) as identifier:
         assert rule in identifier._census_pr_requirements
         assert oracle.exists_match_at(graph, antecedent, "c1")
         assert oracle.exists_match_at(graph, rule.pr_pattern(), "c1")
@@ -443,11 +450,9 @@ def test_census_rules_agree_across_backends(backend):
     with StreamingIdentifier(
         graph,
         rules,
-        eta=0.5,
-        num_workers=3,
-        seed=0,
-        backend=backend,
-        executor_workers=2,
+        config=EIPConfig(
+            eta=0.5, num_workers=3, seed=0, backend=backend, executor_workers=2
+        ),
     ) as identifier:
         for position in range(2):
             identifier.apply(random_update_batch(graph, size=7, seed=600 + position))
@@ -525,7 +530,10 @@ def test_static_and_streaming_agree_on_free_pattern_rules():
             assert static.rule_matches[rule] == frozenset({"c1"}), algorithm
             assert static.rule_confidences[rule] == 1.0, algorithm
         with StreamingIdentifier(
-            graph.copy(), rules, eta=0.5, num_workers=2, algorithm=algorithm
+            graph.copy(),
+            rules,
+            config=EIPConfig(eta=0.5, num_workers=2),
+            algorithm=algorithm,
         ) as identifier:
             assert _eip_fingerprint(static) == _eip_fingerprint(identifier.result)
             assert static.rule_confidences == identifier.result.rule_confidences
@@ -540,7 +548,7 @@ def test_static_and_streaming_agree_on_mined_free_y_workload(algorithm):
     assert rules, "seed 40 must mine free-y rules (workload drifted?)"
     graph = base.copy()
     with StreamingIdentifier(
-        graph, rules, eta=0.5, num_workers=3, algorithm=algorithm
+        graph, rules, config=EIPConfig(eta=0.5, num_workers=3), algorithm=algorithm
     ) as identifier:
         identifier.apply(random_update_batch(graph, size=7, seed=601))
         static = identify_entities(
