@@ -35,4 +35,4 @@ def test_dmine_vary_n_pokec(benchmark, n, optimized):
         iterations=1,
     )
     _rows.append(row)
-    assert row.rules_discovered >= 0
+    assert row["rules"] >= 0

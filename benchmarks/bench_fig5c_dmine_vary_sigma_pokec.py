@@ -37,4 +37,4 @@ def test_dmine_vary_sigma_pokec(benchmark, sigma, optimized):
         iterations=1,
     )
     _rows.append(row)
-    assert row.rules_discovered >= 0
+    assert row["rules"] >= 0

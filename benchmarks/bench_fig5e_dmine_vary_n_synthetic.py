@@ -34,4 +34,4 @@ def test_dmine_vary_n_synthetic(benchmark, n, optimized):
         iterations=1,
     )
     _rows.append(row)
-    assert row.rules_discovered >= 0
+    assert row["rules"] >= 0

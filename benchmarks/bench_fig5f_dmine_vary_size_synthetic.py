@@ -38,4 +38,4 @@ def test_dmine_vary_size_synthetic(benchmark, size, optimized):
         iterations=1,
     )
     _rows.append(row)
-    assert row.rules_discovered >= 0
+    assert row["rules"] >= 0

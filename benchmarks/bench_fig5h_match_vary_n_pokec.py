@@ -34,4 +34,4 @@ def test_match_vary_n_pokec(benchmark, n, algorithm):
         iterations=1,
     )
     _rows.append(row)
-    assert row.identified >= 0
+    assert row["identified"] >= 0

@@ -35,4 +35,4 @@ def test_match_vary_rules_pokec(benchmark, num_rules, algorithm):
         iterations=1,
     )
     _rows.append(row)
-    assert row.identified >= 0
+    assert row["identified"] >= 0

@@ -33,4 +33,4 @@ def test_match_vary_rules_google(benchmark, num_rules, algorithm):
         iterations=1,
     )
     _rows.append(row)
-    assert row.identified >= 0
+    assert row["identified"] >= 0

@@ -36,4 +36,4 @@ def test_match_vary_d_pokec(benchmark, d, algorithm):
         iterations=1,
     )
     _rows.append(row)
-    assert row.identified >= 0
+    assert row["identified"] >= 0

@@ -33,4 +33,4 @@ def test_match_vary_d_google(benchmark, d, algorithm):
         iterations=1,
     )
     _rows.append(row)
-    assert row.identified >= 0
+    assert row["identified"] >= 0

@@ -33,4 +33,4 @@ def test_match_vary_n_synthetic(benchmark, n, algorithm):
         iterations=1,
     )
     _rows.append(row)
-    assert row.identified >= 0
+    assert row["identified"] >= 0

@@ -36,4 +36,4 @@ def test_match_vary_size_synthetic(benchmark, size, algorithm):
         iterations=1,
     )
     _rows.append(row)
-    assert row.identified >= 0
+    assert row["identified"] >= 0

@@ -1,32 +1,28 @@
-"""Single-configuration runners used by the benchmark modules.
+"""Runners behind the benchmark modules and the smoke families.
 
 Each runner executes one (algorithm, workload, backend) configuration and
-returns a measured row.  Rows carry both the *simulated* parallel time (the
-deterministic max-worker-plus-coordinator model the paper's scaling figures
-use) and the real wall-clock time; :func:`run_dmine_backends` /
-:func:`run_eip_backends` run the same configuration on several execution
-backends and annotate each row with its wall-clock speedup over the
-sequential baseline, turning the fig5 scalability figures from simulations
-into measurements.
+returns its measured rows.  A row is a plain dict keyed by the JSON column
+names of the ``BENCH_*.json`` files, so the file schema *is* the row type;
+:mod:`repro.bench.reporting` rounds floats when it prints or serialises.
+DMine/EIP rows carry both the *simulated* parallel time (the deterministic
+max-worker-plus-coordinator model the paper's scaling figures use) and the
+real wall-clock time.
 
-Every row also records whether the run consumed the resident
-:class:`repro.graph.index.FragmentIndex` (the ``index`` field of the JSON
-output); :func:`run_matching_index_comparison` and
-:func:`run_eip_index_comparison` run the same workload with the index on and
-off and annotate the indexed rows with the measured ``index_speedup``, so
-the index's effect is measured rather than asserted;
-:func:`run_dmine_index_comparison` does the same for one DMine
-configuration.
+:func:`run_comparison` is the one baseline-vs-variant loop: the same
+configuration across backends (``wall_speedup``), with the resident index
+off and on (``index_speedup``) or with incremental matching off and on
+(``incremental_speedup``), one result fingerprint allowed across all rows.
+Every gate here compares *answers*, so every runner that gates on equality
+first requires its reference answer to be non-empty
+(:func:`require_answer`): equal empty answers prove nothing.
 """
 
 from __future__ import annotations
 
 import hashlib
 import time
-from dataclasses import dataclass, replace
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
-from repro.bench.reporting import wall_speedups
 from repro.graph.graph import Graph
 from repro.graph.index import discard_index
 from repro.identification import EIPConfig, identify_entities
@@ -35,6 +31,11 @@ from repro.mining import DMine, DMineConfig
 from repro.pattern.canonical import canonical_code
 from repro.pattern.gpar import GPAR
 from repro.pattern.pattern import Pattern
+
+MATCHERS = {"vf2": VF2Matcher, "guided": GuidedMatcher, "simulation": SimulationMatcher}
+
+# Deletion share of the churn workload's update batches.
+CHURN_DELETION_BIAS = 0.7
 
 
 def _digest(parts: Iterable[str]) -> str:
@@ -45,7 +46,7 @@ def _digest(parts: Iterable[str]) -> str:
 def _eip_result_fingerprint(result) -> str:
     """One fingerprint for every EIP row family (identified + confidences).
 
-    Shared by :func:`run_eip_config` and the streaming comparison so
+    Shared by :func:`run_eip_config` and the streaming runners so
     ``BENCH_*.json`` fingerprints stay comparable across families.
     """
     return _digest(
@@ -57,105 +58,25 @@ def _eip_result_fingerprint(result) -> str:
     )
 
 
-@dataclass(frozen=True)
-class DMineRow:
-    """One measured point of a DMine series."""
+def require_answer(size: int, what: str) -> None:
+    """Raise ``AssertionError`` when a reference answer is empty.
 
-    dataset: str
-    algorithm: str
-    parameter: str
-    value: object
-    simulated_parallel_time: float
-    wall_time: float
-    rules_discovered: int
-    candidates_generated: int
-    objective: float
-    backend: str = "sequential"
-    wall_speedup: float | None = None
-    use_index: bool = True
-    # Indexed wall-clock gain over the matching unindexed run (only set by
-    # the index-comparison runners, on the indexed rows).
-    index_speedup: float | None = None
-    use_incremental: bool = True
-    # Incremental wall-clock gain over the matching from-scratch run (only
-    # set by the incremental-comparison runners, on the incremental rows).
-    incremental_speedup: float | None = None
-    # Content hash of the mined rule set (structure + support + confidence);
-    # two rows with equal fingerprints mined *the same rules*, not merely
-    # the same number of rules.
-    fingerprint: str = ""
-
-    def as_dict(self) -> dict:
-        row = {
-            "dataset": self.dataset,
-            "algorithm": self.algorithm,
-            self.parameter: self.value,
-            "backend": self.backend,
-            "index": "on" if self.use_index else "off",
-            "incremental": "on" if self.use_incremental else "off",
-            "sim_parallel_s": round(self.simulated_parallel_time, 3),
-            "wall_s": round(self.wall_time, 3),
-            "rules": self.rules_discovered,
-            "candidates": self.candidates_generated,
-            "F(Lk)": round(self.objective, 3),
-            "fingerprint": self.fingerprint,
-        }
-        if self.wall_speedup is not None:
-            row["wall_speedup"] = round(self.wall_speedup, 2)
-        if self.index_speedup is not None:
-            row["index_speedup"] = round(self.index_speedup, 2)
-        if self.incremental_speedup is not None:
-            row["incremental_speedup"] = round(self.incremental_speedup, 2)
-        return row
+    Two empty answers are always equal, so an equality gate over them
+    passes whatever the code under test does.
+    """
+    if size <= 0:
+        raise AssertionError(
+            f"{what}: the reference answer is empty, so its equality gates "
+            "would check nothing"
+        )
 
 
-@dataclass(frozen=True)
-class EIPRow:
-    """One measured point of a Match/Matchc/disVF2 series."""
+def _on_off(flag: bool) -> str:
+    return "on" if flag else "off"
 
-    dataset: str
-    algorithm: str
-    parameter: str
-    value: object
-    simulated_parallel_time: float
-    wall_time: float
-    identified: int
-    candidates_examined: int
-    backend: str = "sequential"
-    wall_speedup: float | None = None
-    use_index: bool = True
-    index_speedup: float | None = None
-    use_incremental: bool = True
-    incremental_speedup: float | None = None
-    # Prefix-trie pool applications summed over all fragments; the
-    # incremental smoke gate requires > 0 on incremental-on rows (proof the
-    # shared-prefix path ran, census-split rules included).
-    prefix_pool_hits: int = 0
-    # Content hash of the identified entities + per-rule confidences.
-    fingerprint: str = ""
 
-    def as_dict(self) -> dict:
-        row = {
-            "dataset": self.dataset,
-            "algorithm": self.algorithm,
-            self.parameter: self.value,
-            "backend": self.backend,
-            "index": "on" if self.use_index else "off",
-            "incremental": "on" if self.use_incremental else "off",
-            "sim_parallel_s": round(self.simulated_parallel_time, 3),
-            "wall_s": round(self.wall_time, 3),
-            "identified": self.identified,
-            "checks": self.candidates_examined,
-            "prefix_hits": self.prefix_pool_hits,
-            "fingerprint": self.fingerprint,
-        }
-        if self.wall_speedup is not None:
-            row["wall_speedup"] = round(self.wall_speedup, 2)
-        if self.index_speedup is not None:
-            row["index_speedup"] = round(self.index_speedup, 2)
-        if self.incremental_speedup is not None:
-            row["incremental_speedup"] = round(self.incremental_speedup, 2)
-        return row
+def _ratio(numerator: float, denominator: float) -> float:
+    return numerator / denominator if denominator else float("inf")
 
 
 # Benchmark-sized mining defaults: small enough that a full sweep finishes in
@@ -184,8 +105,13 @@ def run_dmine_config(
     use_index: bool = True,
     use_incremental: bool = True,
     **overrides,
-) -> DMineRow:
-    """Run one DMine / DMineno configuration and return its measured row."""
+) -> dict:
+    """Run one DMine / DMineno configuration and return its measured row.
+
+    ``fingerprint`` hashes the mined rule set (structure + support +
+    confidence): equal fingerprints mean *the same rules*, not merely the
+    same number of rules.
+    """
     settings = {**MINING_DEFAULTS, **overrides}
     config = DMineConfig(
         num_workers=num_workers,
@@ -199,24 +125,23 @@ def run_dmine_config(
     if not optimized:
         config = config.without_optimizations()
     result = DMine(config).mine(graph, predicate)
-    return DMineRow(
-        dataset=dataset,
-        algorithm="DMine" if optimized else "DMineno",
-        parameter=parameter,
-        value=value if value is not None else num_workers,
-        simulated_parallel_time=result.timings.simulated_parallel_time,
-        wall_time=result.timings.wall_time,
-        rules_discovered=result.num_rules_discovered,
-        candidates_generated=result.candidates_generated,
-        objective=result.objective_value,
-        backend=config.backend,
-        use_index=use_index,
-        use_incremental=use_incremental,
-        fingerprint=_digest(
+    return {
+        "dataset": dataset,
+        "algorithm": "DMine" if optimized else "DMineno",
+        parameter: value if value is not None else num_workers,
+        "backend": config.backend,
+        "index": _on_off(use_index),
+        "incremental": _on_off(use_incremental),
+        "sim_parallel_s": result.timings.simulated_parallel_time,
+        "wall_s": result.timings.wall_time,
+        "rules": result.num_rules_discovered,
+        "candidates": result.candidates_generated,
+        "F(Lk)": result.objective_value,
+        "fingerprint": _digest(
             f"{canonical_code(rule.pr_pattern())}|{info.support}|{round(info.confidence, 9)}"
             for rule, info in result.all_rules.items()
         ),
-    )
+    }
 
 
 def run_eip_config(
@@ -232,8 +157,13 @@ def run_eip_config(
     executor_workers: int | None = None,
     use_index: bool = True,
     use_incremental: bool = True,
-) -> EIPRow:
-    """Run one Match / Matchc / disVF2 configuration and return its row."""
+) -> dict:
+    """Run one Match / Matchc / disVF2 configuration and return its row.
+
+    ``prefix_hits`` sums prefix-trie pool applications over all fragments
+    (proof the shared-prefix path ran); ``fingerprint`` hashes the
+    identified entities + per-rule confidences.
+    """
     result = identify_entities(
         graph,
         list(rules),
@@ -245,152 +175,60 @@ def run_eip_config(
         use_index=use_index,
         use_incremental=use_incremental,
     )
-    return EIPRow(
-        dataset=dataset,
-        algorithm=algorithm,
-        parameter=parameter,
-        value=value if value is not None else num_workers,
-        simulated_parallel_time=result.timings.simulated_parallel_time,
-        wall_time=result.timings.wall_time,
-        identified=len(result.identified),
-        candidates_examined=result.candidates_examined,
-        backend=backend,
-        use_index=use_index,
-        use_incremental=use_incremental,
-        prefix_pool_hits=result.prefix_pool_hits,
-        fingerprint=_eip_result_fingerprint(result),
-    )
+    return {
+        "dataset": dataset,
+        "algorithm": algorithm,
+        parameter: value if value is not None else num_workers,
+        "backend": backend,
+        "index": _on_off(use_index),
+        "incremental": _on_off(use_incremental),
+        "sim_parallel_s": result.timings.simulated_parallel_time,
+        "wall_s": result.timings.wall_time,
+        "identified": len(result.identified),
+        "checks": result.candidates_examined,
+        "prefix_hits": result.prefix_pool_hits,
+        "fingerprint": _eip_result_fingerprint(result),
+    }
 
 
-def _annotate_speedups(rows: Sequence) -> list:
-    """Fill ``wall_speedup`` on *rows* relative to their sequential row."""
-    speedups = wall_speedups(rows)
-    return [replace(row, wall_speedup=speedups.get(row.backend)) for row in rows]
-
-
-def run_dmine_backends(
-    dataset: str,
-    graph: Graph,
-    predicate: Pattern,
-    num_workers: int,
-    sigma: int,
-    backends: Sequence[str] = ("sequential", "processes"),
-    executor_workers: int | None = None,
-    **overrides,
-) -> list[DMineRow]:
-    """Run one DMine configuration on several backends.
-
-    Returns one row per backend, each annotated with the real wall-clock
-    speedup over the sequential run (the sequential baseline is added
-    automatically when missing).
-    """
-    names = list(backends)
-    if "sequential" not in names:
-        names.insert(0, "sequential")
-    rows = [
-        run_dmine_config(
-            dataset,
-            graph,
-            predicate,
-            num_workers,
-            sigma,
-            parameter="backend",
-            value=name,
-            backend=name,
-            executor_workers=executor_workers,
-            **overrides,
-        )
-        for name in names
+def toggle_groups(switch: str, backends: Sequence[str]) -> list[list[dict]]:
+    """Off-then-on configurations of the boolean *switch*, one pair per backend."""
+    return [
+        [{"backend": backend, switch: False}, {"backend": backend, switch: True}]
+        for backend in backends
     ]
-    return _annotate_speedups(rows)
 
 
-def run_eip_backends(
-    dataset: str,
-    graph: Graph,
-    rules: tuple[GPAR, ...],
-    num_workers: int,
-    algorithm: str,
-    eta: float = 1.0,
-    backends: Sequence[str] = ("sequential", "processes"),
-    executor_workers: int | None = None,
-) -> list[EIPRow]:
-    """Run one EIP configuration on several backends (see :func:`run_dmine_backends`)."""
-    names = list(backends)
-    if "sequential" not in names:
-        names.insert(0, "sequential")
-    rows = [
-        run_eip_config(
-            dataset,
-            graph,
-            rules,
-            num_workers,
-            algorithm,
-            eta=eta,
-            parameter="backend",
-            value=name,
-            backend=name,
-            executor_workers=executor_workers,
-        )
-        for name in names
-    ]
-    return _annotate_speedups(rows)
+def run_comparison(
+    run_one: Callable[..., dict],
+    groups: Sequence[Sequence[dict]],
+    speedup_key: str,
+    answer_key: str,
+) -> list[dict]:
+    """The baseline-vs-variant loop shared by every comparison.
 
-
-# ----------------------------------------------------------------------
-# indexed-vs-unindexed comparison
-# ----------------------------------------------------------------------
-@dataclass(frozen=True)
-class MatchingRow:
-    """One measured point of an indexed-vs-unindexed matching series.
-
-    Measures the paper's matching hot path in isolation: *reps* batches of
-    anchored ``match_set`` queries over one resident graph, each batch served
-    by a freshly constructed matcher (exactly what one EIP/DMine call does).
-    Unindexed batches (the reference path) re-derive label pools, adjacency
-    profiles and k-hop sketches from the raw graph; indexed batches probe the
-    resident :class:`~repro.graph.index.FragmentIndex` and its kernel.
+    For each group of keyword configurations, ``run_one(**group[0])`` is
+    the baseline and every later configuration a variant; each variant row
+    gets *speedup_key* = baseline wall time / its wall time.  Raises
+    ``AssertionError`` if a baseline's *answer_key* count is zero or if the
+    rows do not all carry one result fingerprint.
     """
-
-    dataset: str
-    algorithm: str  # matcher kind: "vf2" | "guided"
-    parameter: str
-    value: object
-    wall_time: float
-    patterns_matched: int
-    total_matches: int
-    use_index: bool = True
-    index_speedup: float | None = None
-    backend: str = "in-process"
-    fingerprint: str = ""
-
-    def as_dict(self) -> dict:
-        row = {
-            "dataset": self.dataset,
-            "algorithm": self.algorithm,
-            self.parameter: self.value,
-            "backend": self.backend,
-            "index": "on" if self.use_index else "off",
-            "wall_s": round(self.wall_time, 3),
-            "patterns": self.patterns_matched,
-            "matches": self.total_matches,
-            "fingerprint": self.fingerprint,
-        }
-        if self.index_speedup is not None:
-            row["index_speedup"] = round(self.index_speedup, 2)
-        return row
-
-
-def _matcher_for(kind: str, use_index: bool):
-    if kind == "guided":
-        return GuidedMatcher(use_index=use_index)
-    if kind == "vf2":
-        return VF2Matcher(use_index=use_index)
-    if kind == "simulation":
-        return SimulationMatcher(use_index=use_index)
-    raise ValueError(
-        f"unknown matcher kind {kind!r}; expected 'vf2', 'guided' or 'simulation'"
-    )
+    rows: list[dict] = []
+    for baseline_config, *variant_configs in groups:
+        baseline = run_one(**baseline_config)
+        require_answer(baseline[answer_key], f"{baseline['algorithm']} comparison")
+        rows.append(baseline)
+        for config in variant_configs:
+            row = run_one(**config)
+            row[speedup_key] = _ratio(baseline["wall_s"], row["wall_s"])
+            rows.append(row)
+    fingerprints = {row["fingerprint"] for row in rows}
+    if len(fingerprints) > 1:
+        raise AssertionError(
+            f"{rows[0]['algorithm']} results diverged across the "
+            f"{speedup_key} comparison: {sorted(fingerprints)}"
+        )
+    return rows
 
 
 def run_matching_traffic(
@@ -402,14 +240,17 @@ def run_matching_traffic(
     reps: int = 3,
     parameter: str = "index",
     value: object = None,
-) -> MatchingRow:
+) -> dict:
     """Run *reps* fresh-matcher batches of match-set queries; return one row.
 
-    Each batch computes ``Q(x, G)`` for every rule's antecedent and PR
-    pattern with a newly constructed matcher, modelling *reps* successive
-    algorithm calls against the same resident fragment.  The graph's
-    registered index is dropped first so each indexed run pays its own
-    build.
+    Measures the paper's matching hot path in isolation: each batch computes
+    ``Q(x, G)`` for every rule's antecedent and PR pattern with a newly
+    constructed matcher of *kind*, modelling *reps* successive algorithm
+    calls against the same resident fragment.  Unindexed batches (the
+    reference path) re-derive label pools, adjacency profiles and k-hop
+    sketches from the raw graph; indexed batches probe the resident
+    :class:`~repro.graph.index.FragmentIndex`.  The graph's registered index
+    is dropped first so each indexed run pays its own build.
     """
     patterns: list[Pattern] = []
     for rule in rules:
@@ -420,7 +261,7 @@ def run_matching_traffic(
     total_matches = 0
     started = time.perf_counter()
     for _ in range(reps):
-        matcher = _matcher_for(kind, use_index)
+        matcher = MATCHERS[kind](use_index=use_index)
         for position, pattern in enumerate(patterns):
             matches = matcher.match_set(graph, pattern)
             total_matches += len(matches)
@@ -428,301 +269,54 @@ def run_matching_traffic(
                 f"{position}|{len(matches)}|{'/'.join(sorted(map(str, matches)))}"
             )
     elapsed = time.perf_counter() - started
-    if value is None:
-        value = "on" if use_index else "off"
-    return MatchingRow(
-        dataset=dataset,
-        algorithm=kind,
-        parameter=parameter,
-        value=value,
-        wall_time=elapsed,
-        patterns_matched=len(patterns) * reps,
-        total_matches=total_matches,
-        use_index=use_index,
-        fingerprint=_digest(match_counts),
-    )
-
-
-def run_matching_index_comparison(
-    dataset: str,
-    graph: Graph,
-    rules: Sequence[GPAR],
-    kinds: Sequence[str] = ("vf2", "guided", "simulation"),
-    reps: int = 3,
-) -> list[MatchingRow]:
-    """Indexed-vs-unindexed matching comparison for each matcher kind.
-
-    Returns two rows per kind (reference path, then resident index); the
-    indexed row carries ``index_speedup`` = unindexed wall time / indexed
-    wall time.  Raises ``AssertionError`` if any kind's match sets differ
-    between the modes.
-    """
-    rows: list[MatchingRow] = []
-    for kind in kinds:
-        unindexed = run_matching_traffic(
-            dataset, graph, rules, kind, use_index=False, reps=reps
-        )
-        indexed = run_matching_traffic(
-            dataset, graph, rules, kind, use_index=True, reps=reps
-        )
-        if indexed.fingerprint != unindexed.fingerprint:
-            raise AssertionError(
-                f"indexed {kind} matching diverged from unindexed: "
-                f"{indexed.fingerprint} != {unindexed.fingerprint}"
-            )
-        speedup = unindexed.wall_time / indexed.wall_time if indexed.wall_time else float("inf")
-        rows.append(unindexed)
-        rows.append(replace(indexed, index_speedup=speedup))
-    return rows
-
-
-def _run_onoff_comparison(
-    run_one, backends: Sequence[str], speedup_field: str, diverged_label: str
-) -> list:
-    """Shared off/on-per-backend comparison shape of the smoke gates.
-
-    ``run_one(backend, enabled)`` produces one measured row; for every
-    backend the off row is emitted first and the on row is annotated with
-    *speedup_field* = off wall time / on wall time.  All ``2 × |backends|``
-    rows must carry one identical result fingerprint.
-    """
-    rows: list = []
-    for backend in backends:
-        off_row = run_one(backend, False)
-        on_row = run_one(backend, True)
-        speedup = (
-            off_row.wall_time / on_row.wall_time if on_row.wall_time else float("inf")
-        )
-        rows.append(off_row)
-        rows.append(replace(on_row, **{speedup_field: speedup}))
-    fingerprints = {row.fingerprint for row in rows}
-    if len(fingerprints) > 1:
-        raise AssertionError(
-            f"{diverged_label} results diverged across backends/modes: "
-            f"{sorted(fingerprints)}"
-        )
-    return rows
-
-
-def run_eip_index_comparison(
-    dataset: str,
-    graph: Graph,
-    rules: tuple[GPAR, ...],
-    num_workers: int,
-    algorithm: str = "match",
-    eta: float = 1.0,
-    backends: Sequence[str] = ("sequential", "threads", "processes"),
-    executor_workers: int | None = None,
-) -> list[EIPRow]:
-    """Run one EIP configuration with the index off and on, per backend.
-
-    The cross-backend × cross-mode equivalence gate of the index smoke: all
-    2 × len(backends) rows must carry the same result fingerprint.  Indexed
-    rows are annotated with their backend's ``index_speedup``.
-    """
-
-    def run_one(backend: str, enabled: bool) -> EIPRow:
-        return run_eip_config(
-            dataset,
-            graph,
-            rules,
-            num_workers,
-            algorithm,
-            eta=eta,
-            parameter="backend",
-            value=backend,
-            backend=backend,
-            executor_workers=executor_workers,
-            use_index=enabled,
-        )
-
-    return _run_onoff_comparison(run_one, backends, "index_speedup", "EIP (index)")
-
-
-def run_dmine_index_comparison(
-    dataset: str,
-    graph: Graph,
-    predicate: Pattern,
-    num_workers: int,
-    sigma: int,
-    backends: Sequence[str] = ("sequential", "threads", "processes"),
-    executor_workers: int | None = None,
-    **overrides,
-) -> list[DMineRow]:
-    """Run one DMine configuration with the index off and on, per backend.
-
-    All ``2 × len(backends)`` rows must mine the same rule fingerprint;
-    indexed rows carry ``index_speedup`` = reference-path wall time /
-    indexed wall time on their backend.
-    """
-
-    def run_one(backend: str, enabled: bool) -> DMineRow:
-        return run_dmine_config(
-            dataset,
-            graph,
-            predicate,
-            num_workers,
-            sigma,
-            parameter="backend",
-            value=backend,
-            backend=backend,
-            executor_workers=executor_workers,
-            use_index=enabled,
-            **overrides,
-        )
-
-    return _run_onoff_comparison(run_one, backends, "index_speedup", "DMine (index)")
-
-
-# ----------------------------------------------------------------------
-# incremental-vs-from-scratch comparison
-# ----------------------------------------------------------------------
-def run_dmine_incremental_comparison(
-    dataset: str,
-    graph: Graph,
-    predicate: Pattern,
-    num_workers: int,
-    sigma: int,
-    backends: Sequence[str] = ("sequential", "threads", "processes"),
-    executor_workers: int | None = None,
-    **overrides,
-) -> list[DMineRow]:
-    """Run one DMine configuration incremental-off and -on, per backend.
-
-    The cross-backend × cross-mode equivalence gate of the incremental
-    smoke: all ``2 × len(backends)`` rows must mine the same rule
-    fingerprint.  Incremental rows carry ``incremental_speedup`` =
-    from-scratch wall time / incremental wall time on their backend.
-    """
-
-    def run_one(backend: str, enabled: bool) -> DMineRow:
-        return run_dmine_config(
-            dataset,
-            graph,
-            predicate,
-            num_workers,
-            sigma,
-            parameter="backend",
-            value=backend,
-            backend=backend,
-            executor_workers=executor_workers,
-            use_incremental=enabled,
-            **overrides,
-        )
-
-    return _run_onoff_comparison(
-        run_one, backends, "incremental_speedup", "DMine (incremental)"
-    )
-
-
-def run_eip_incremental_comparison(
-    dataset: str,
-    graph: Graph,
-    rules: tuple[GPAR, ...],
-    num_workers: int,
-    algorithm: str = "match",
-    eta: float = 1.0,
-    backends: Sequence[str] = ("sequential", "threads", "processes"),
-    executor_workers: int | None = None,
-) -> list[EIPRow]:
-    """Run one EIP configuration incremental-off and -on, per backend.
-
-    Gates on one identical result fingerprint across every backend × mode;
-    incremental (prefix-trie) rows carry their ``incremental_speedup``.
-    """
-
-    def run_one(backend: str, enabled: bool) -> EIPRow:
-        return run_eip_config(
-            dataset,
-            graph,
-            rules,
-            num_workers,
-            algorithm,
-            eta=eta,
-            parameter="backend",
-            value=backend,
-            backend=backend,
-            executor_workers=executor_workers,
-            use_incremental=enabled,
-        )
-
-    return _run_onoff_comparison(
-        run_one, backends, "incremental_speedup", "EIP (incremental)"
-    )
+    return {
+        "dataset": dataset,
+        "algorithm": kind,
+        parameter: value if value is not None else _on_off(use_index),
+        "backend": "in-process",
+        "index": _on_off(use_index),
+        "wall_s": elapsed,
+        "patterns": len(patterns) * reps,
+        "matches": total_matches,
+        "fingerprint": _digest(match_counts),
+    }
 
 
 # ----------------------------------------------------------------------
 # streaming repair-vs-recompute comparison
 # ----------------------------------------------------------------------
-@dataclass(frozen=True)
-class StreamRow:
-    """One measured point of a streaming repair-vs-recompute series.
-
-    ``mode`` is ``"recompute"`` (from-scratch run after every batch — what a
-    static pipeline pays) or ``"repair"`` (a
-    :class:`repro.stream.StreamingIdentifier` /
-    :class:`repro.stream.MaintainedMatchView` maintained across the same
-    batches).  ``wall_time`` sums over all batches; the repair rows carry
-    ``repair_speedup`` = recompute wall / repair wall on their backend.
-    ``fingerprint`` hashes the *final* result, so a repair row diverging
-    from its recompute twin fails the smoke gate loudly.
-    """
-
-    dataset: str
-    algorithm: str
-    parameter: str
-    value: object
-    mode: str
-    wall_time: float
-    batches: int
-    rechecked: int
-    identified: int
-    backend: str = "sequential"
-    repair_speedup: float | None = None
-    fingerprint: str = ""
-
-    def as_dict(self) -> dict:
-        row = {
-            "dataset": self.dataset,
-            "algorithm": self.algorithm,
-            self.parameter: self.value,
-            "backend": self.backend,
-            "mode": self.mode,
-            "wall_s": round(self.wall_time, 3),
-            "batches": self.batches,
-            "rechecked": self.rechecked,
-            "identified": self.identified,
-            "fingerprint": self.fingerprint,
-        }
-        if self.repair_speedup is not None:
-            row["repair_speedup"] = round(self.repair_speedup, 2)
-        return row
-
-
-def sample_update_batches(
-    graph: Graph, count: int, size: int, seed: int = 0, deletion_bias: float = 0.0
-) -> list:
+def sample_update_batches(graph: Graph, count: int, size: int, seed: int = 0) -> list:
     """*count* batches, each valid against the state the previous ones left.
 
     Sampled once against a scratch copy so every backend/mode of a
-    comparison replays the **same** update sequence.  *deletion_bias*
-    forwards to :func:`repro.stream.random_update_batch` (deletion-heavy
-    churn workloads).
+    comparison replays the **same** update sequence.
     """
     from repro.stream import random_update_batch
 
     scratch = graph.copy()
     batches = []
     for position in range(count):
-        batch = random_update_batch(
-            scratch,
-            size=size,
-            seed=seed * 1000 + position,
-            deletion_bias=deletion_bias,
-        )
+        batch = random_update_batch(scratch, size=size, seed=seed * 1000 + position)
         batch.apply(scratch)
         batches.append(batch)
     return batches
+
+
+def _stream_row(
+    dataset, algorithm, backend, mode, wall, batches, rechecked, identified, fingerprint
+) -> dict:
+    """One repair/recompute/checkpoint row (``wall_s`` summed over *batches*)."""
+    return {
+        "dataset": dataset,
+        "algorithm": algorithm,
+        "backend": backend,
+        "mode": mode,
+        "wall_s": wall,
+        "batches": batches,
+        "rechecked": rechecked,
+        "identified": identified,
+        "fingerprint": fingerprint,
+    }
 
 
 def run_eip_stream_comparison(
@@ -737,7 +331,7 @@ def run_eip_stream_comparison(
     num_batches: int = 4,
     batch_size: int = 8,
     seed: int = 0,
-) -> list[StreamRow]:
+) -> list[dict]:
     """Streaming EIP maintenance vs from-scratch recompute, per backend.
 
     Replays one sampled update sequence in both modes on every backend.
@@ -745,12 +339,12 @@ def run_eip_stream_comparison(
     fingerprint as a fresh ``identify_entities`` run on the mutated graph
     (raising ``AssertionError`` otherwise); the repair rows report the
     wall-clock of `StreamingIdentifier.apply` summed over the sequence
-    against the recompute rows' per-batch full runs.
+    against the recompute rows' per-batch full runs, as ``repair_speedup``.
     """
     from repro.stream import StreamingIdentifier
 
     batches = sample_update_batches(graph, num_batches, batch_size, seed=seed)
-    rows: list[StreamRow] = []
+    rows: list[dict] = []
     for backend in backends:
         # Mode 1: recompute after every batch (the static pipeline's cost).
         recompute_graph = graph.copy()
@@ -769,18 +363,10 @@ def run_eip_stream_comparison(
                 executor_workers=executor_workers,
             )
             recompute_wall += time.perf_counter() - started
-        recompute_row = StreamRow(
-            dataset=dataset,
-            algorithm=algorithm,
-            parameter="backend",
-            value=backend,
-            mode="recompute",
-            wall_time=recompute_wall,
-            batches=len(batches),
-            rechecked=0,
-            identified=len(recompute_result.identified),
-            backend=backend,
-            fingerprint=_eip_result_fingerprint(recompute_result),
+        require_answer(len(recompute_result.identified), f"stream recompute on {backend}")
+        recompute_row = _stream_row(
+            dataset, algorithm, backend, "recompute", recompute_wall, len(batches), 0,
+            len(recompute_result.identified), _eip_result_fingerprint(recompute_result),
         )
 
         # Mode 2: one StreamingIdentifier maintained across the sequence.
@@ -810,26 +396,15 @@ def run_eip_stream_comparison(
                         f"{backend}: {maintained} != {fresh}"
                     )
             stream_result = identifier.result
-        repair_row = StreamRow(
-            dataset=dataset,
-            algorithm=algorithm,
-            parameter="backend",
-            value=backend,
-            mode="repair",
-            wall_time=repair_wall,
-            batches=len(batches),
-            rechecked=rechecked,
-            identified=len(stream_result.identified),
-            backend=backend,
-            repair_speedup=(
-                recompute_wall / repair_wall if repair_wall else float("inf")
-            ),
-            fingerprint=_eip_result_fingerprint(stream_result),
+        repair_row = _stream_row(
+            dataset, algorithm, backend, "repair", repair_wall, len(batches), rechecked,
+            len(stream_result.identified), _eip_result_fingerprint(stream_result),
         )
-        if repair_row.fingerprint != recompute_row.fingerprint:
+        repair_row["repair_speedup"] = _ratio(recompute_wall, repair_wall)
+        if repair_row["fingerprint"] != recompute_row["fingerprint"]:
             raise AssertionError(
                 f"streaming repair diverged from recompute on {backend}: "
-                f"{repair_row.fingerprint} != {recompute_row.fingerprint}"
+                f"{repair_row['fingerprint']} != {recompute_row['fingerprint']}"
             )
         rows.append(recompute_row)
         rows.append(repair_row)
@@ -839,49 +414,6 @@ def run_eip_stream_comparison(
 # ----------------------------------------------------------------------
 # deletion-heavy churn: resident-size trajectory
 # ----------------------------------------------------------------------
-@dataclass(frozen=True)
-class ChurnRow:
-    """One batch of a deletion-heavy streaming run (resident-size trajectory).
-
-    The churn bench answers a different question than the repair-speedup
-    rows: does resident fragment state (graphs + update logs) stay
-    *bounded* when the workload keeps deleting?  Each row records the
-    authoritative graph size, the coordinator's total resident node count
-    and retained log operations, and the lifecycle actions of the batch.
-    """
-
-    dataset: str
-    batch: int
-    graph_nodes: int
-    graph_edges: int
-    resident_nodes: int
-    log_ops: int
-    rechecked: int
-    shed: int
-    migrated: int
-    compacted: int
-    wall_time: float
-    backend: str = "sequential"
-    fingerprint: str = ""
-
-    def as_dict(self) -> dict:
-        return {
-            "dataset": self.dataset,
-            "batch": self.batch,
-            "backend": self.backend,
-            "graph_nodes": self.graph_nodes,
-            "graph_edges": self.graph_edges,
-            "resident_nodes": self.resident_nodes,
-            "log_ops": self.log_ops,
-            "rechecked": self.rechecked,
-            "shed": self.shed,
-            "migrated": self.migrated,
-            "compacted": self.compacted,
-            "wall_s": round(self.wall_time, 3),
-            "fingerprint": self.fingerprint,
-        }
-
-
 def run_stream_churn(
     dataset: str,
     graph: Graph,
@@ -889,55 +421,59 @@ def run_stream_churn(
     num_workers: int,
     num_batches: int = 50,
     batch_size: int = 16,
-    deletion_bias: float = 0.7,
     eta: float = 1.0,
     algorithm: str = "match",
     seed: int = 0,
-    stream_config=None,
-) -> list[ChurnRow]:
+) -> list[dict]:
     """Deletion-heavy maintenance run recording resident size per batch.
 
-    A single :class:`~repro.stream.StreamingIdentifier` absorbs
-    *num_batches* deletion-biased batches (each sampled against the live
-    graph, so the sequence stays valid as the graph shrinks).  After the
+    Answers a different question than the repair-speedup rows: does
+    resident fragment state (graphs + update logs) stay *bounded* when the
+    workload keeps deleting?  A single
+    :class:`~repro.stream.StreamingIdentifier` absorbs *num_batches*
+    batches sampled with :data:`CHURN_DELETION_BIAS` against the live graph
+    (so the sequence stays valid as the graph shrinks); one row per batch
+    records the graph size, the coordinator's resident node count and
+    retained log operations, and the batch's lifecycle actions.  After the
     final batch the maintained answer is gate-checked byte-identical to a
-    from-scratch recompute; the per-batch rows feed the resident-size
-    bounded gate of the smoke runner (``BENCH_stream_churn.json``).
+    from-scratch recompute.
     """
     from repro.stream import StreamingIdentifier, random_update_batch
 
     live = graph.copy()
-    rows: list[ChurnRow] = []
+    rows: list[dict] = []
     with StreamingIdentifier(
         live,
         rules,
         config=EIPConfig(eta=eta, num_workers=num_workers),
         algorithm=algorithm,
-        stream_config=stream_config,
     ) as identifier:
+        require_answer(len(identifier.result.identified), "churn initial answer")
         for position in range(num_batches):
             batch = random_update_batch(
                 live,
                 size=batch_size,
                 seed=seed * 1000 + position,
-                deletion_bias=deletion_bias,
+                deletion_bias=CHURN_DELETION_BIAS,
             )
             update_report = identifier.apply(batch)
             rows.append(
-                ChurnRow(
-                    dataset=dataset,
-                    batch=position + 1,
-                    graph_nodes=live.num_nodes,
-                    graph_edges=live.num_edges,
-                    resident_nodes=update_report.resident_nodes,
-                    log_ops=update_report.log_ops,
-                    rechecked=update_report.rechecked_centers,
-                    shed=update_report.shed_nodes,
-                    migrated=update_report.migrated_centers,
-                    compacted=update_report.compacted_fragments,
-                    wall_time=update_report.wall_time,
-                    fingerprint=_eip_result_fingerprint(identifier.result),
-                )
+                {
+                    "dataset": dataset,
+                    "batch": position + 1,
+                    "backend": "sequential",
+                    "graph_nodes": live.num_nodes,
+                    "graph_edges": live.num_edges,
+                    "resident_nodes": update_report.resident_nodes,
+                    "log_ops": update_report.log_ops,
+                    "rechecked": update_report.rechecked_centers,
+                    "shed": update_report.shed_nodes,
+                    "migrated": update_report.migrated_centers,
+                    "compacted": update_report.compacted_fragments,
+                    "wall_s": update_report.wall_time,
+                    "identified": len(identifier.result.identified),
+                    "fingerprint": _eip_result_fingerprint(identifier.result),
+                }
             )
         maintained = _eip_result_fingerprint(identifier.result)
         fresh = _eip_result_fingerprint(identifier.recompute())
@@ -964,7 +500,7 @@ def run_lifecycle_roundtrip(
     eta: float = 1.0,
     algorithm: str = "match",
     seed: int = 0,
-) -> list[StreamRow]:
+) -> list[dict]:
     """Checkpoint/restart round-trip gate, per backend.
 
     For every backend: maintain a :class:`~repro.stream.StreamingIdentifier`
@@ -980,11 +516,10 @@ def run_lifecycle_roundtrip(
     import tempfile
     from pathlib import Path
 
-    from repro.matching import VF2Matcher
     from repro.stream import MaintainedMatchView, StreamingIdentifier
 
     batches = sample_update_batches(graph, num_batches + 1, batch_size, seed=seed)
-    rows: list[StreamRow] = []
+    rows: list[dict] = []
     for backend in backends:
         stream_graph = graph.copy()
         started = time.perf_counter()
@@ -1004,20 +539,12 @@ def run_lifecycle_roundtrip(
                     identifier.apply(batch)
                 checkpointed = _eip_result_fingerprint(identifier.result)
                 identified = len(identifier.result.identified)
+                require_answer(identified, f"lifecycle checkpoint on {backend}")
                 state_path = identifier.save_state(Path(scratch) / "state.pkl")
             rows.append(
-                StreamRow(
-                    dataset=dataset,
-                    algorithm=algorithm,
-                    parameter="backend",
-                    value=backend,
-                    mode="checkpointed",
-                    wall_time=time.perf_counter() - started,
-                    batches=num_batches,
-                    rechecked=0,
-                    identified=identified,
-                    backend=backend,
-                    fingerprint=checkpointed,
+                _stream_row(
+                    dataset, algorithm, backend, "checkpointed",
+                    time.perf_counter() - started, num_batches, 0, identified, checkpointed,
                 )
             )
             started = time.perf_counter()
@@ -1038,18 +565,9 @@ def run_lifecycle_roundtrip(
                     )
                 identified = len(restored.result.identified)
             rows.append(
-                StreamRow(
-                    dataset=dataset,
-                    algorithm=algorithm,
-                    parameter="backend",
-                    value=backend,
-                    mode="restored",
-                    wall_time=time.perf_counter() - started,
-                    batches=1,
-                    rechecked=0,
-                    identified=identified,
-                    backend=backend,
-                    fingerprint=restored_fingerprint,
+                _stream_row(
+                    dataset, algorithm, backend, "restored",
+                    time.perf_counter() - started, 1, 0, identified, restored_fingerprint,
                 )
             )
 
@@ -1065,7 +583,8 @@ def run_lifecycle_roundtrip(
     for batch in batches[:num_batches]:
         view.apply(batch)  # repairs the store in place
     before = [sorted(map(str, view.match_set(pattern))) for pattern in patterns]
-    assert view.store.statistics.repaired_entries > 0 or num_batches == 0
+    if num_batches and not view.store.statistics.repaired_entries:
+        raise AssertionError("maintained match view repaired no entries across the batches")
     revived_graph = pickle.loads(pickle.dumps(view_graph))
     if not revived_graph.structure_equal(view_graph):
         raise AssertionError("graph serialization drifted across the round-trip")
@@ -1079,65 +598,6 @@ def run_lifecycle_roundtrip(
 # ----------------------------------------------------------------------
 # serving: concurrent readers under update pressure, over real HTTP
 # ----------------------------------------------------------------------
-@dataclass(frozen=True)
-class ServeRow:
-    """One measured serve-load run (the ``serve`` smoke family).
-
-    *clients* reader threads paginate ``GET /answer`` in a loop while one
-    writer POSTs the sampled update sequence; the run gates **in-line** on
-    the serving contract — every pagination pass sees exactly one
-    ``graph_version`` (``torn_reads`` must be 0), every update response's
-    delta and the subscription replay are byte-identical to the
-    set-difference of fresh recomputes on a mirror graph — and reports the
-    read-latency distribution and tick throughput as the trajectory.
-    """
-
-    dataset: str
-    parameter: str
-    value: object
-    clients: int
-    batches: int
-    reads: int
-    read_p50_ms: float
-    read_p99_ms: float
-    ticks_per_sec: float
-    torn_reads: int
-    wall_time: float
-    backend: str = "http"
-    fingerprint: str = ""
-
-    def as_dict(self) -> dict:
-        return {
-            "dataset": self.dataset,
-            self.parameter: self.value,
-            "backend": self.backend,
-            "clients": self.clients,
-            "batches": self.batches,
-            "reads": self.reads,
-            "read_p50_ms": round(self.read_p50_ms, 2),
-            "read_p99_ms": round(self.read_p99_ms, 2),
-            "ticks_per_sec": round(self.ticks_per_sec, 2),
-            "torn_reads": self.torn_reads,
-            "wall_s": round(self.wall_time, 3),
-            "fingerprint": self.fingerprint,
-        }
-
-
-def _http_json(method: str, url: str, body: dict | None = None, timeout: float = 120.0):
-    """One JSON request on a throwaway connection (``Connection: close``).
-
-    The load generators below hold a :class:`_KeepAliveClient` instead —
-    this stays for one-shot pings where connection reuse buys nothing.
-    """
-    import json
-    import urllib.request
-
-    data = json.dumps(body).encode("utf-8") if body is not None else None
-    request = urllib.request.Request(url, data=data, method=method)
-    with urllib.request.urlopen(request, timeout=timeout) as response:
-        return json.loads(response.read().decode("utf-8"))
-
-
 class _KeepAliveClient:
     """One persistent HTTP/1.1 connection to the bench's loopback server.
 
@@ -1193,18 +653,19 @@ def run_serve_load(
     batch_size: int = 8,
     seed: int = 0,
     page_limit: int = 50,
-) -> list[ServeRow]:
+) -> list[dict]:
     """Concurrent readers × update pressure against a real ``repro.serve``.
 
     Starts a loopback :class:`repro.serve.BackgroundServer`, creates one
     session from *session_request* (whose rule-generation parameters must
     reproduce *rules* — checked by name), then runs *clients* reader
     threads paginating the answer while a writer applies the sampled
-    update sequence over HTTP.  Raises ``AssertionError`` if any pagination
-    pass mixes graph versions (a torn read), if any update's delta differs
-    from the set-difference of fresh recomputes on a mirror graph, or if
-    the subscription replay of the whole run is not byte-identical to
-    those recomputed deltas.
+    update sequence over HTTP.  Raises ``AssertionError`` if the initial
+    answer is empty, if any pagination pass mixes graph versions (a torn
+    read), if any update's delta differs from the set-difference of fresh
+    recomputes on a mirror graph, or if the subscription replay of the
+    whole run is not byte-identical to those recomputed deltas.  The one
+    row reports the read-latency distribution and tick throughput.
     """
     import json
     import threading
@@ -1286,10 +747,11 @@ def run_serve_load(
         # set-difference, byte for byte.
         mirror = graph.copy()
         fresh_before = api.identify(mirror, rules, mirror_config)
-        baseline_version = writer.request("GET", f"{session_path}/subscribe")["resume_from"]
         expected_deltas: list[dict] = []
         tick_wall = 0.0
         try:
+            require_answer(len(fresh_before.identified), "serve initial answer")
+            baseline_version = writer.request("GET", f"{session_path}/subscribe")["resume_from"]
             for position, batch in enumerate(batches):
                 started = time.perf_counter()
                 response = writer.request(
@@ -1344,72 +806,27 @@ def run_serve_load(
     if not latencies:
         raise AssertionError("readers recorded no requests — load never ran")
     ordered = sorted(latencies)
-    row = ServeRow(
-        dataset=dataset,
-        parameter="clients",
-        value=clients,
-        clients=clients,
-        batches=len(batches),
-        reads=reads[0],
-        read_p50_ms=ordered[int(0.50 * (len(ordered) - 1))],
-        read_p99_ms=ordered[int(0.99 * (len(ordered) - 1))],
-        ticks_per_sec=len(batches) / tick_wall if tick_wall else float("inf"),
-        torn_reads=torn_passes[0],
-        wall_time=time.perf_counter() - run_started,
-        fingerprint=_eip_result_fingerprint(fresh_before),
-    )
-    return [row]
+    return [
+        {
+            "dataset": dataset,
+            "clients": clients,
+            "backend": "http",
+            "batches": len(batches),
+            "reads": reads[0],
+            "read_p50_ms": ordered[int(0.50 * (len(ordered) - 1))],
+            "read_p99_ms": ordered[int(0.99 * (len(ordered) - 1))],
+            "ticks_per_sec": _ratio(len(batches), tick_wall),
+            "torn_reads": torn_passes[0],
+            "wall_s": time.perf_counter() - run_started,
+            "identified": len(fresh_before.identified),
+            "fingerprint": _eip_result_fingerprint(fresh_before),
+        }
+    ]
 
 
 # ----------------------------------------------------------------------
 # multi-tenant serving: cross-Σ match sharing over one resident graph
 # ----------------------------------------------------------------------
-@dataclass(frozen=True)
-class TenantRow:
-    """One measured step of the multi-tenant scaling run (``tenant`` family).
-
-    ``admit`` rows measure the marginal cost of the k-th tenant joining the
-    shared core (wall clock, novel vs shared rules, backfilled centres);
-    the ``single`` row replays the same update sequence on a one-tenant
-    core (the baseline the gates scale against); the ``steady`` row is the
-    shared core maintaining every tenant at once; ``equivalence`` rows
-    record the smaller cross-backend projection-vs-independent-run legs.
-    """
-
-    dataset: str
-    mode: str
-    tenants: int
-    rules: int  #: the admitted tenant's |Σ| (admit) / Σ over tenants (steady)
-    union_rules: int  #: distinct canonical representatives the core verifies
-    shared_rules: int = 0
-    novel_rules: int = 0
-    shared_prefix_hits: int = 0
-    backfill_centers: int = 0
-    verified_centers: int = 0
-    batches: int = 0
-    wall_time: float = 0.0
-    backend: str = "sequential"
-    fingerprint: str = ""
-
-    def as_dict(self) -> dict:
-        return {
-            "dataset": self.dataset,
-            "backend": self.backend,
-            "mode": self.mode,
-            "tenants": self.tenants,
-            "rules": self.rules,
-            "union_rules": self.union_rules,
-            "shared_rules": self.shared_rules,
-            "novel_rules": self.novel_rules,
-            "shared_prefix_hits": self.shared_prefix_hits,
-            "backfill_centers": self.backfill_centers,
-            "verified_centers": self.verified_centers,
-            "batches": self.batches,
-            "wall_s": round(self.wall_time, 3),
-            "fingerprint": self.fingerprint,
-        }
-
-
 def tenant_rule_slices(
     pool: Sequence[GPAR], num_tenants: int, rules_per_tenant: int
 ) -> dict[str, tuple[GPAR, ...]]:
@@ -1431,6 +848,32 @@ def tenant_rule_slices(
     }
 
 
+def _tenant_row(dataset, backend, mode, tenants, rules, union_rules, **measured) -> dict:
+    """One step of the multi-tenant run; unmeasured counters read 0.
+
+    Only the legs that hold a tenant answer (``single``/``admit``/``steady``)
+    carry its ``identified`` count and ``fingerprint``.
+    """
+    row = {
+        "dataset": dataset,
+        "backend": backend,
+        "mode": mode,
+        "tenants": tenants,
+        "rules": rules,
+        "union_rules": union_rules,
+        "shared_rules": 0,
+        "novel_rules": 0,
+        "shared_prefix_hits": 0,
+        "backfill_centers": 0,
+        "verified_centers": 0,
+        "batches": 0,
+        "wall_s": 0.0,
+        "fingerprint": "",
+    }
+    row.update(measured)
+    return row
+
+
 def run_tenant_scaling(
     dataset: str,
     graph: Graph,
@@ -1446,19 +889,20 @@ def run_tenant_scaling(
     batch_size: int = 8,
     seed: int = 0,
     equivalence_tenants: int = 3,
-) -> list[TenantRow]:
+) -> list[dict]:
     """N overlapping tenant Σ over one shared core vs independent runs.
 
     The primary leg runs on ``backends[0]``: admit *num_tenants* stride-1
     overlapping rule sets one by one into a
-    :class:`~repro.stream.MultiTenantIdentifier` (one ``admit`` row each),
-    then replay a sampled update sequence against both the shared core and
-    a one-tenant baseline core (the ``steady`` / ``single`` rows).  After
-    every admission and every batch, **every** tenant's projected answer
-    must be fingerprint-identical to an independent ``identify_entities``
-    run with that tenant's rules on the same graph — raising
-    ``AssertionError`` otherwise.  Each remaining backend gets a smaller
-    per-batch equivalence leg through
+    :class:`~repro.stream.MultiTenantIdentifier` (one ``admit`` row each,
+    measuring the marginal cost of the k-th tenant: wall clock, novel vs
+    shared rules, backfilled centres), then replay a sampled update
+    sequence against both the shared core and a one-tenant baseline core
+    (the ``steady`` / ``single`` rows).  After every admission and every
+    batch, **every** tenant's projected answer must be fingerprint-identical
+    to an independent ``identify_entities`` run with that tenant's rules on
+    the same graph — raising ``AssertionError`` otherwise.  Each remaining
+    backend gets a smaller per-batch equivalence leg through
     :func:`repro.testing.multi_tenant_check` (one ``equivalence`` row).
     """
     from repro.stream import MultiTenantIdentifier
@@ -1487,7 +931,14 @@ def run_tenant_scaling(
                     f"independent run ({projected} != {fresh})"
                 )
 
-    rows: list[TenantRow] = []
+    def answer(multi: MultiTenantIdentifier, tenant: str) -> dict:
+        result = multi.result_for(tenant)
+        return {
+            "identified": len(result.identified),
+            "fingerprint": _eip_result_fingerprint(result),
+        }
+
+    rows: list[dict] = []
 
     # -- single-tenant baseline: the cost the gates scale against --------
     single = MultiTenantIdentifier(graph.copy(), config=config_for(primary), algorithm=algorithm)
@@ -1501,18 +952,14 @@ def run_tenant_scaling(
             single_wall += time.perf_counter() - started
             single_verified += report.rechecked_centers
         rows.append(
-            TenantRow(
-                dataset=dataset,
-                mode="single",
-                tenants=1,
-                rules=len(tenants["tenant-1"]),
-                union_rules=len(single.union_rules),
+            _tenant_row(
+                dataset, primary, "single", 1, len(tenants["tenant-1"]),
+                len(single.union_rules),
                 backfill_centers=admission.backfill_centers,
                 verified_centers=single_verified,
                 batches=len(batches),
-                wall_time=single_wall,
-                backend=primary,
-                fingerprint=_eip_result_fingerprint(single.result_for("tenant-1")),
+                wall_s=single_wall,
+                **answer(single, "tenant-1"),
             )
         )
     finally:
@@ -1524,19 +971,15 @@ def run_tenant_scaling(
         for count, (tenant, tenant_rules) in enumerate(tenants.items(), start=1):
             admission = multi.admit(tenant, tenant_rules)
             rows.append(
-                TenantRow(
-                    dataset=dataset,
-                    mode="admit",
-                    tenants=count,
-                    rules=len(tenant_rules),
-                    union_rules=len(multi.union_rules),
+                _tenant_row(
+                    dataset, primary, "admit", count, len(tenant_rules),
+                    len(multi.union_rules),
                     shared_rules=admission.shared_rules,
                     novel_rules=admission.novel_rules,
                     shared_prefix_hits=admission.shared_prefix_hits,
                     backfill_centers=admission.backfill_centers,
-                    wall_time=admission.wall_time,
-                    backend=primary,
-                    fingerprint=_eip_result_fingerprint(multi.result_for(tenant)),
+                    wall_s=admission.wall_time,
+                    **answer(multi, tenant),
                 )
             )
         assert_exact(multi, "after admissions")
@@ -1549,17 +992,14 @@ def run_tenant_scaling(
             steady_verified += report.rechecked_centers
             assert_exact(multi, f"after batch {position + 1}")
         rows.append(
-            TenantRow(
-                dataset=dataset,
-                mode="steady",
-                tenants=num_tenants,
-                rules=sum(len(tenant_rules) for tenant_rules in tenants.values()),
-                union_rules=len(multi.union_rules),
+            _tenant_row(
+                dataset, primary, "steady", num_tenants,
+                sum(len(tenant_rules) for tenant_rules in tenants.values()),
+                len(multi.union_rules),
                 verified_centers=steady_verified,
                 batches=len(batches),
-                wall_time=steady_wall,
-                backend=primary,
-                fingerprint=_eip_result_fingerprint(multi.result_for("tenant-1")),
+                wall_s=steady_wall,
+                **answer(multi, "tenant-1"),
             )
         )
     finally:
@@ -1584,15 +1024,11 @@ def run_tenant_scaling(
                 f"multi-tenant equivalence failed: {divergences[0].describe()}"
             )
         rows.append(
-            TenantRow(
-                dataset=dataset,
-                mode="equivalence",
-                tenants=len(small),
-                rules=sum(len(tenant_rules) for tenant_rules in small.values()),
-                union_rules=0,
+            _tenant_row(
+                dataset, backend, "equivalence", len(small),
+                sum(len(tenant_rules) for tenant_rules in small.values()), 0,
                 batches=len(batches),
-                wall_time=time.perf_counter() - started,
-                backend=backend,
+                wall_s=time.perf_counter() - started,
             )
         )
     return rows
@@ -1606,20 +1042,21 @@ def run_matchview_stream_comparison(
     num_batches: int = 4,
     batch_size: int = 8,
     seed: int = 0,
-) -> list[StreamRow]:
+) -> list[dict]:
     """Maintained match sets vs from-scratch re-matching, per matcher kind.
 
     The matcher-level half of the ``stream`` smoke (mirroring how the
     ``index`` family isolates the resident index): every rule's PR pattern
     is kept current by :meth:`MatchStore.repair` across the update
     sequence, against a baseline that re-runs ``match_set`` for the whole
-    pattern family after each batch.  Gates on identical match sets.
+    pattern family after each batch.  Gates on identical, non-empty match
+    sets; ``identified`` counts matches summed over patterns and batches.
     """
     from repro.stream import MaintainedMatchView
 
     patterns = [rule.pr_pattern() for rule in rules]
     batches = sample_update_batches(graph, num_batches, batch_size, seed=seed)
-    rows: list[StreamRow] = []
+    rows: list[dict] = []
     for kind in kinds:
         baseline_graph = graph.copy()
         baseline_wall = 0.0
@@ -1627,7 +1064,7 @@ def run_matchview_stream_comparison(
         total_baseline = 0
         for batch in batches:
             batch.apply(baseline_graph)
-            matcher = _matcher_for(kind, use_index=True)
+            matcher = MATCHERS[kind](use_index=True)
             started = time.perf_counter()
             for position, pattern in enumerate(patterns):
                 matches = matcher.match_set(baseline_graph, pattern)
@@ -1636,24 +1073,14 @@ def run_matchview_stream_comparison(
                     f"{position}|{'/'.join(sorted(map(str, matches)))}"
                 )
             baseline_wall += time.perf_counter() - started
-        rows.append(
-            StreamRow(
-                dataset=dataset,
-                algorithm=kind,
-                parameter="mode",
-                value="recompute",
-                mode="recompute",
-                wall_time=baseline_wall,
-                batches=len(batches),
-                rechecked=0,
-                identified=total_baseline,
-                backend="in-process",
-                fingerprint=_digest(baseline_sets),
-            )
+        require_answer(total_baseline, f"{kind} re-matching")
+        baseline_row = _stream_row(
+            dataset, kind, "in-process", "recompute", baseline_wall, len(batches), 0,
+            total_baseline, _digest(baseline_sets),
         )
 
         view_graph = graph.copy()
-        view = MaintainedMatchView(view_graph, patterns, _matcher_for(kind, use_index=True))
+        view = MaintainedMatchView(view_graph, patterns, MATCHERS[kind](use_index=True))
         view_wall = 0.0
         view_sets: list[str] = []
         total_view = 0
@@ -1668,25 +1095,17 @@ def run_matchview_stream_comparison(
                     f"{position}|{'/'.join(sorted(map(str, matches)))}"
                 )
             view_wall += time.perf_counter() - started
-        repair_row = StreamRow(
-            dataset=dataset,
-            algorithm=kind,
-            parameter="mode",
-            value="repair",
-            mode="repair",
-            wall_time=view_wall,
-            batches=len(batches),
-            rechecked=view.store.statistics.repair_rechecks,
-            identified=total_view,
-            backend="in-process",
-            repair_speedup=baseline_wall / view_wall if view_wall else float("inf"),
-            fingerprint=_digest(view_sets),
+        repair_row = _stream_row(
+            dataset, kind, "in-process", "repair", view_wall, len(batches),
+            view.store.statistics.repair_rechecks, total_view, _digest(view_sets),
         )
-        if repair_row.fingerprint != rows[-1].fingerprint:
+        repair_row["repair_speedup"] = _ratio(baseline_wall, view_wall)
+        if repair_row["fingerprint"] != baseline_row["fingerprint"]:
             raise AssertionError(
                 f"maintained {kind} match sets diverged from re-matching: "
-                f"{repair_row.fingerprint} != {rows[-1].fingerprint}"
+                f"{repair_row['fingerprint']} != {baseline_row['fingerprint']}"
             )
+        rows.append(baseline_row)
         rows.append(repair_row)
     return rows
 
@@ -1694,55 +1113,6 @@ def run_matchview_stream_comparison(
 # ----------------------------------------------------------------------
 # observability: instrumentation overhead + scrape/trace round-trips
 # ----------------------------------------------------------------------
-@dataclass(frozen=True)
-class ObsRow:
-    """One half of the instrumented-vs-uninstrumented streaming comparison.
-
-    The ``obs`` smoke family replays the same sampled update sequence
-    through a :class:`~repro.stream.StreamingIdentifier` with observability
-    fully off (the module-level no-op span path) and fully on (an installed
-    :class:`~repro.obs.Tracer` plus ``REPRO_OBS`` statistics collection).
-    The instrumented row carries ``overhead_pct`` — the best-of-reps wall
-    regression the instrumentation itself costs — plus the two round-trip
-    gates: ``trace_ok`` (dump_jsonl → load_trace survives byte-identical and
-    renders a breakdown) and ``scrape_ok`` (a live ``GET /metrics`` parses
-    under the strict Prometheus parser with the expected families present).
-    """
-
-    dataset: str
-    mode: str
-    batches: int
-    reps: int
-    wall_time: float
-    spans: int = 0
-    counter_series: int = 0
-    overhead_pct: float | None = None
-    scrape_ok: bool | None = None
-    trace_ok: bool | None = None
-    backend: str = "sequential"
-    fingerprint: str = ""
-
-    def as_dict(self) -> dict:
-        row = {
-            "dataset": self.dataset,
-            "mode": self.mode,
-            "backend": self.backend,
-            "batches": self.batches,
-            "reps": self.reps,
-            "wall_s": round(self.wall_time, 3),
-            "spans": self.spans,
-            "counter_series": self.counter_series,
-            "fingerprint": self.fingerprint,
-        }
-        if self.overhead_pct is not None:
-            row["overhead_pct"] = round(self.overhead_pct, 2)
-        if self.scrape_ok is not None:
-            row["scrape_ok"] = self.scrape_ok
-        if self.trace_ok is not None:
-            row["trace_ok"] = self.trace_ok
-        return row
-
-
 def run_obs_overhead(
     dataset: str,
     graph: Graph,
@@ -1754,19 +1124,24 @@ def run_obs_overhead(
     algorithm: str = "match",
     seed: int = 0,
     reps: int = 3,
-) -> list["ObsRow"]:
+) -> list[dict]:
     """Instrumented vs uninstrumented streaming maintenance (``obs`` family).
 
-    Interleaves *reps* uninstrumented/instrumented pairs of the same
-    maintenance run and takes the best-of-reps sum of per-tick wall times
-    for each mode, so ``overhead_pct`` measures the instrumentation rather
-    than scheduler noise.  Counters aggregate through the registry's
-    ``snapshot()``/``merge()`` protocol (:mod:`repro.obs.stats`) — not the
-    deprecated field-by-field statistics accumulation — and both modes must
-    produce identical result fingerprints: instrumentation may never change
-    answers.  Raises ``AssertionError`` on a fingerprint divergence; the
-    scrape/trace round-trip outcomes land on the instrumented row for the
-    smoke gate.
+    Replays the same sampled update sequence through a
+    :class:`~repro.stream.StreamingIdentifier` with observability fully off
+    (the module-level no-op span path) and fully on (an installed
+    :class:`~repro.obs.Tracer` plus ``REPRO_OBS`` statistics collection),
+    interleaving *reps* pairs and taking the best-of-reps sum of per-tick
+    wall times for each mode, so ``overhead_pct`` measures the
+    instrumentation rather than scheduler noise.  Counters aggregate
+    through the registry's ``snapshot()``/``merge()`` protocol
+    (:mod:`repro.obs.stats`), and both modes must produce identical,
+    non-empty answers: instrumentation may never change them.  Raises
+    ``AssertionError`` otherwise.  The instrumented row also carries the
+    two round-trip outcomes: ``trace_ok`` (dump_jsonl → load_trace survives
+    byte-identical and renders a breakdown) and ``scrape_ok`` (a live
+    ``GET /metrics`` parses under the strict Prometheus parser with the
+    expected families present).
     """
     import tempfile
     import urllib.request
@@ -1808,23 +1183,23 @@ def run_obs_overhead(
                 config=EIPConfig(eta=eta, num_workers=num_workers),
                 algorithm=algorithm,
             ) as identifier:
+                require_answer(len(identifier.result.identified), "obs initial answer")
                 for batch in batches:
                     wall += identifier.apply(batch).wall_time
+                identified = len(identifier.result.identified)
                 fingerprint = _eip_result_fingerprint(identifier.result)
         finally:
             if instrumented:
                 uninstall()
                 disable_collection()
-        return wall, fingerprint, tracer
+        return wall, identified, fingerprint, tracer
 
     off_walls: list[float] = []
     on_walls: list[float] = []
-    off_fingerprint = on_fingerprint = ""
-    tracer = None
     for _ in range(reps):
-        wall, off_fingerprint, _ = maintain(False)
+        wall, identified, off_fingerprint, _ = maintain(False)
         off_walls.append(wall)
-        wall, on_fingerprint, tracer = maintain(True)
+        wall, identified, on_fingerprint, tracer = maintain(True)
         on_walls.append(wall)
     if off_fingerprint != on_fingerprint:
         raise AssertionError(
@@ -1833,9 +1208,6 @@ def run_obs_overhead(
         )
     best_off = min(off_walls)
     best_on = min(on_walls)
-    overhead_pct = (
-        (best_on - best_off) / best_off * 100.0 if best_off else 0.0
-    )
 
     # Round-trip 1: the final instrumented trace through JSON-lines.
     records = tracer.records()
@@ -1855,7 +1227,9 @@ def run_obs_overhead(
     # counters the maintenance runs recorded.  parse_prometheus raises
     # ValueError on any malformed line — a loud failure, not a False flag.
     with BackgroundServer() as server:
-        _http_json("GET", f"{server.base_url}/healthz")
+        client = _KeepAliveClient(server.base_url)
+        client.request("GET", "/healthz")
+        client.close()
         with urllib.request.urlopen(
             f"{server.base_url}/metrics", timeout=30
         ) as response:
@@ -1873,75 +1247,34 @@ def run_obs_overhead(
         and "repro_http_request_seconds_bucket" in samples
     )
 
-    counter_series = len(registry().counters("repro_"))
-    return [
-        ObsRow(
-            dataset=dataset,
-            mode="uninstrumented",
-            batches=len(batches),
-            reps=reps,
-            wall_time=best_off,
-            fingerprint=off_fingerprint,
-        ),
-        ObsRow(
-            dataset=dataset,
-            mode="instrumented",
-            batches=len(batches),
-            reps=reps,
-            wall_time=best_on,
-            spans=len(records),
-            counter_series=counter_series,
-            overhead_pct=overhead_pct,
-            scrape_ok=scrape_ok,
-            trace_ok=trace_ok,
-            fingerprint=on_fingerprint,
-        ),
-    ]
+    def row(mode: str, wall: float, fingerprint: str) -> dict:
+        return {
+            "dataset": dataset,
+            "mode": mode,
+            "backend": "sequential",
+            "batches": len(batches),
+            "reps": reps,
+            "wall_s": wall,
+            "spans": 0,
+            "counter_series": 0,
+            "identified": identified,
+            "fingerprint": fingerprint,
+        }
+
+    instrumented = row("instrumented", best_on, on_fingerprint)
+    instrumented.update(
+        spans=len(records),
+        counter_series=len(registry().counters("repro_")),
+        overhead_pct=(best_on - best_off) / best_off * 100.0 if best_off else 0.0,
+        scrape_ok=scrape_ok,
+        trace_ok=trace_ok,
+    )
+    return [row("uninstrumented", best_off, off_fingerprint), instrumented]
 
 
 # ----------------------------------------------------------------------
 # adversarial storm suite (differential oracle + distillation)
 # ----------------------------------------------------------------------
-@dataclass(frozen=True)
-class StormRow:
-    """One storm family replayed through the differential oracle.
-
-    ``divergences`` counts first-divergences across the backend grid for
-    this family (the smoke gate fails on any non-zero value);
-    ``shrunk_ops`` is the total op count of the distilled counterexamples
-    and ``deduped`` how many were dropped as MinHash near-duplicates of
-    already-known regression cases.
-    """
-
-    dataset: str
-    storm: str
-    backend: str
-    batches: int
-    ops: int
-    checks: int
-    wall_time: float
-    divergences: int = 0
-    shrunk_ops: int = 0
-    deduped: int = 0
-
-    def as_dict(self) -> dict:
-        return {
-            "dataset": self.dataset,
-            "storm": self.storm,
-            "backend": self.backend,
-            "batches": self.batches,
-            "ops": self.ops,
-            "checks": self.checks,
-            "wall_s": round(self.wall_time, 3),
-            "checks_per_s": (
-                round(self.checks / self.wall_time, 1) if self.wall_time else 0.0
-            ),
-            "divergences": self.divergences,
-            "shrunk_ops": self.shrunk_ops,
-            "deduped": self.deduped,
-        }
-
-
 def run_storm_suite(
     dataset: str,
     graph: Graph,
@@ -1954,9 +1287,10 @@ def run_storm_suite(
     algorithm: str = "match",
     seed: int = 0,
     cases_dir: str | None = None,
-) -> list["StormRow"]:
+) -> list[dict]:
     """Every storm family × backend through the differential oracle.
 
+    Σ must identify entities on *graph* (``AssertionError`` otherwise).
     Each family samples its batch sequence once (against a scratch copy, so
     every backend replays identical ops), then a single-backend
     :class:`repro.testing.DifferentialOracle` checks the maintained
@@ -1964,8 +1298,10 @@ def run_storm_suite(
     divergence is distilled to a minimal counterexample and — unless MinHash
     flags it as a near-duplicate of a known case — written to *cases_dir*
     (default ``tests/regressions/``) for the pytest collector to replay
-    forever.  The smoke gate downstream fails on any non-zero
-    ``divergences`` column.
+    forever.  Each row counts one family × backend's ``divergences``
+    (the smoke gate fails on any), the total op count of the distilled
+    counterexamples (``shrunk_ops``) and how many were dropped as known
+    duplicates (``deduped``).
     """
     from repro.testing import (
         CASES_DIR,
@@ -1978,8 +1314,12 @@ def run_storm_suite(
     )
     from repro.testing.cases import known_signatures
 
+    reference = identify_entities(
+        graph, list(rules), eta=eta, num_workers=num_workers, algorithm=algorithm, seed=seed
+    )
+    require_answer(len(reference.identified), "storm reference answer")
     target_dir = CASES_DIR if cases_dir is None else cases_dir
-    rows: list[StormRow] = []
+    rows: list[dict] = []
     for storm in sorted(STORM_FAMILIES):
         sampler = STORM_FAMILIES[storm]
         scratch = graph.copy()
@@ -2027,17 +1367,19 @@ def run_storm_suite(
                 )
                 write_case(case, target_dir)
             rows.append(
-                StormRow(
-                    dataset=dataset,
-                    storm=storm,
-                    backend=backend,
-                    batches=len(batches),
-                    ops=total_ops,
-                    checks=report.checks,
-                    wall_time=report.wall_time,
-                    divergences=len(report.divergences),
-                    shrunk_ops=shrunk_ops,
-                    deduped=deduped,
-                )
+                {
+                    "dataset": dataset,
+                    "storm": storm,
+                    "backend": backend,
+                    "batches": len(batches),
+                    "ops": total_ops,
+                    "checks": report.checks,
+                    "wall_s": report.wall_time,
+                    "checks_per_s": report.checks_per_second,
+                    "identified": len(reference.identified),
+                    "divergences": len(report.divergences),
+                    "shrunk_ops": shrunk_ops,
+                    "deduped": deduped,
+                }
             )
     return rows

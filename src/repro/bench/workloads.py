@@ -77,7 +77,7 @@ def dense_mining_workload(scale: int = 4000) -> tuple[Graph, Pattern]:
 def dense_eip_workload(
     scale: int = 4000, num_rules: int = 16
 ) -> tuple[Graph, tuple[GPAR, ...]]:
-    """Rule set Σ over the dense workload (EIP half of the incremental smoke).
+    """Rule set Σ over the dense workload (the EIP and streaming smoke families).
 
     Σ is *mined* by DMine rather than sampled: a mined rule set shares
     antecedent prefixes by construction (levelwise growth from one seed) and
@@ -106,19 +106,17 @@ def dense_eip_workload(
 
 
 @lru_cache(maxsize=None)
-def storm_workload(scale: int = 400, num_rules: int = 3) -> tuple[Graph, tuple[GPAR, ...]]:
+def storm_workload(scale: int = 60, num_rules: int = 3) -> tuple[Graph, tuple[GPAR, ...]]:
     """Graph + census-mixed Σ for the adversarial ``storm`` smoke family.
 
-    Σ is *num_rules* generated connected rules over the graph's most
-    frequent predicate, plus a free-node variant and an edge-carrying
-    component variant of the first rule — one rule set that exercises the
-    ball-local, label-census and component-census maintenance paths under
-    every storm at once.
+    Σ is *num_rules* rules sampled around the planted predicate of a
+    *scale*-user Pokec-like graph (they identify entities there, so every
+    oracle check compares non-empty answers), plus a free-node variant and
+    an edge-carrying component variant of the first rule — one rule set
+    that exercises the ball-local, label-census and component-census
+    maintenance paths under every storm at once.
     """
-    graph = synthetic_graph(
-        scale, scale * 3, num_node_labels=6, num_edge_labels=4, seed=11
-    )
-    predicate = most_frequent_predicates(graph, top=1)[0]
+    graph, predicate = mining_workload("pokec", scale)
     rules = generate_gpars(
         graph, predicate, count=num_rules, max_pattern_edges=2, d=2, seed=3
     )
@@ -184,17 +182,14 @@ def _census_split_variant(base: GPAR, predicate: Pattern) -> GPAR:
 def stream_workload(
     scale: int = 4000, num_rules: int = 16
 ) -> tuple[Graph, tuple[GPAR, ...]]:
-    """Graph + ball-local Σ for the streaming repair-vs-recompute smoke.
+    """Graph + sampled Σ over the dense graph of :func:`dense_mining_workload`.
 
-    Runs on the dense graph of :func:`dense_mining_workload`, but Σ is
-    *sampled from the graph's structure* (:func:`generate_gpars`) rather
-    than mined: DMine grows antecedents from the x side, so most mined
-    antecedents carry an isolated (free) ``y`` node that is matched against
-    the whole fragment's label index — exactly the non-ball-local shape a
-    :class:`repro.stream.StreamingIdentifier` rejects, because no bounded
-    ball around a centre can repair it.  Sampled rules are connected by
-    construction.  Callers must ``copy()`` the graph before mutating it:
-    workloads are cached per process and shared across benchmark families.
+    The ``index`` family's matching traffic runs on it: Σ is *sampled from
+    the graph's structure* (:func:`generate_gpars`), so its antecedents are
+    connected and match plenty, but at this label density none of its PR
+    patterns match, so it identifies no entities.  Callers
+    must ``copy()`` the graph before mutating it: workloads are cached per
+    process and shared across benchmark families.
     """
     graph, predicate = dense_mining_workload(scale)
     rules = generate_gpars(

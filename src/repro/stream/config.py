@@ -12,7 +12,7 @@ promotes all of them to per-run fields with a uniform override story:
   ``REPRO_REBALANCE_SKEW``, ``REPRO_STATE_DIR``) override the defaults at
   construction time — and, because the process pool forks/spawns with the
   parent's environment, reach worker-side index builds too;
-* **CLI flags** on ``repro stream`` / ``repro-bench-smoke`` override both
+* **CLI flags** on ``repro stream`` override both
   (the CLI also exports the env vars so worker processes agree).
 """
 

@@ -1,17 +1,12 @@
 """Tests for the benchmark harness and the multi-predicate mining helpers."""
 
 import json
+from functools import partial
 
 import pytest
 
 from repro.bench import format_rows, print_series, rows_as_json, wall_speedups
-from repro.bench.harness import (
-    DMineRow,
-    EIPRow,
-    run_dmine_backends,
-    run_dmine_config,
-    run_eip_config,
-)
+from repro.bench.harness import run_comparison, run_dmine_config, run_eip_config
 from repro.bench.workloads import eip_workload, mining_workload, synthetic_mining_workload
 from repro.datasets import most_frequent_predicates
 from repro.mining import DMineConfig, dmine_auto, dmine_for_predicates
@@ -32,13 +27,16 @@ class TestReporting:
     def test_format_rows_empty(self):
         assert format_rows([]) == "(no rows)"
 
-    def test_format_rows_accepts_dataclasses(self):
-        row = EIPRow(
-            dataset="pokec", algorithm="match", parameter="n", value=4,
-            simulated_parallel_time=0.5, wall_time=1.0, identified=10,
-            candidates_examined=100,
-        )
-        assert "match" in format_rows([row])
+    def test_format_rows_rounds_floats(self):
+        rows = [
+            {"algorithm": "match", "wall_s": 1.23456},
+            {"algorithm": "match", "wall_s": 0.5, "wall_speedup": 2.46913},
+        ]
+        text = format_rows(rows)
+        assert "1.235" in text and "1.23456" not in text
+        # Columns are the union over rows, so a variant's speedup shows.
+        assert "wall_speedup" in text.splitlines()[0]
+        assert "2.469" in text
 
     def test_print_series_smoke(self, capsys):
         print_series("demo", [{"a": 1}])
@@ -47,9 +45,9 @@ class TestReporting:
 
     def test_wall_speedups(self):
         rows = [
-            {"backend": "sequential", "wall_time": 2.0},
-            {"backend": "processes", "wall_time": 0.5},
-            {"backend": "threads", "wall_time": 0.0},
+            {"backend": "sequential", "wall_s": 2.0},
+            {"backend": "processes", "wall_s": 0.5},
+            {"backend": "threads", "wall_s": 0.0},
         ]
         speedups = wall_speedups(rows)
         assert speedups["sequential"] == pytest.approx(1.0)
@@ -57,18 +55,18 @@ class TestReporting:
         assert "threads" not in speedups  # zero wall time is dropped
 
     def test_wall_speedups_without_baseline(self):
-        assert wall_speedups([{"backend": "processes", "wall_time": 1.0}]) == {}
+        assert wall_speedups([{"backend": "processes", "wall_s": 1.0}]) == {}
 
     def test_rows_as_json_is_machine_readable(self):
-        row = EIPRow(
-            dataset="pokec", algorithm="match", parameter="backend", value="processes",
-            simulated_parallel_time=0.5, wall_time=1.0, identified=10,
-            candidates_examined=100, backend="processes", wall_speedup=1.7,
-        )
+        row = {
+            "dataset": "pokec", "algorithm": "match", "backend": "processes",
+            "wall_s": 1.00049, "identified": 10, "wall_speedup": 1.7,
+        }
         data = json.loads(rows_as_json("smoke_match", "a title", [row]))
         assert data["name"] == "smoke_match"
         assert data["rows"][0]["backend"] == "processes"
         assert data["rows"][0]["wall_speedup"] == 1.7
+        assert data["rows"][0]["wall_s"] == 1.0
 
 
 class TestWorkloads:
@@ -107,10 +105,10 @@ class TestHarnessRunners:
             optimized=True, parameter="n", value=2,
             max_edges=1, max_extensions_per_rule=5, max_rules_per_round=10,
         )
-        assert isinstance(row, DMineRow)
-        assert row.algorithm == "DMine"
-        assert row.simulated_parallel_time >= 0
-        assert row.as_dict()["n"] == 2
+        assert row["algorithm"] == "DMine"
+        assert row["sim_parallel_s"] >= 0
+        assert row["n"] == 2
+        assert row["rules"] > 0
 
     def test_run_eip_config_row(self):
         graph, rules = eip_workload("pokec", num_rules=3, scale=120, seed=3)
@@ -118,25 +116,27 @@ class TestHarnessRunners:
             "pokec", graph, rules, num_workers=2, algorithm="match",
             parameter="n", value=2,
         )
-        assert isinstance(row, EIPRow)
-        assert row.identified >= 0
-        assert row.as_dict()["algorithm"] == "match"
+        assert row["identified"] >= 0
+        assert row["algorithm"] == "match"
 
     def test_run_dmine_backends_annotates_speedup(self):
         graph, predicate = mining_workload("pokec", scale=120)
-        rows = run_dmine_backends(
-            "pokec", graph, predicate, num_workers=2, sigma=6,
-            backends=["processes"],
+        run_one = partial(
+            run_dmine_config, "pokec", graph, predicate, 2, 6, parameter="backend",
             max_edges=1, max_extensions_per_rule=5, max_rules_per_round=10,
         )
-        assert [row.backend for row in rows] == ["sequential", "processes"]
+        rows = run_comparison(
+            run_one, [[{"backend": "sequential"}, {"backend": "processes"}]],
+            "wall_speedup", "rules",
+        )
+        assert [row["backend"] for row in rows] == ["sequential", "processes"]
         # Same configuration on both backends must mine the same rules —
         # the fingerprint hashes rule structure + support + confidence.
-        assert rows[0].fingerprint and rows[0].fingerprint == rows[1].fingerprint
-        assert rows[0].rules_discovered == rows[1].rules_discovered
-        assert rows[0].objective == pytest.approx(rows[1].objective)
-        assert rows[0].wall_speedup == pytest.approx(1.0)
-        assert rows[1].wall_speedup is None or rows[1].wall_speedup > 0
+        assert rows[0]["fingerprint"] and rows[0]["fingerprint"] == rows[1]["fingerprint"]
+        assert rows[0]["rules"] == rows[1]["rules"] > 0
+        assert rows[0]["F(Lk)"] == pytest.approx(rows[1]["F(Lk)"])
+        assert "wall_speedup" not in rows[0]
+        assert rows[1]["wall_speedup"] > 0
 
 
 class TestMultiPredicateMining:
